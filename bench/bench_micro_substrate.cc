@@ -47,12 +47,11 @@ int64_t ArenaAllocCount() {
       ->value();
 }
 
-// Every matmul-family benchmark carries a backend arg (0=scalar, 1=blocked,
-// 2=simd; tensor/kernel_backend.h) so BENCH_substrate.json records all
-// three side by side and perfdiff can print the cross-backend speedups.
+// Every matmul-family benchmark carries a backend arg (0=scalar, 1=simd;
+// tensor/kernel_backend.h) so BENCH_substrate.json records both side by
+// side and perfdiff can print the cross-backend speedups.
 // items_per_second at the 256/512 square shapes is the per-backend GFLOP/s
-// figure the README table and the >= 2x blocked-vs-scalar acceptance
-// criterion read off.
+// figure the README table reads off.
 void BM_MatMul(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
   ScopedKernelBackend backend(
@@ -67,7 +66,7 @@ void BM_MatMul(benchmark::State& state) {
 }
 BENCHMARK(BM_MatMul)
     ->ArgNames({"n", "backend"})
-    ->ArgsProduct({{50, 100, 200, 256, 512}, {0, 1, 2}});
+    ->ArgsProduct({{50, 100, 200, 256, 512}, {0, 1}});
 
 void BM_MatMulTransposeB(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
@@ -83,11 +82,10 @@ void BM_MatMulTransposeB(benchmark::State& state) {
 }
 BENCHMARK(BM_MatMulTransposeB)
     ->ArgNames({"n", "backend"})
-    ->ArgsProduct({{50, 100, 256}, {0, 1, 2}});
+    ->ArgsProduct({{50, 100, 256}, {0, 1}});
 
-// Fused LSTM elementwise gate kernels at the paper's batch/hidden scale.
-// scalar and blocked share a body (nothing to block elementwise), so the
-// interesting delta is scalar vs simd.
+// Fused LSTM elementwise gate kernels at the paper's batch/hidden scale,
+// scalar vs simd.
 void BM_LstmGatesForward(benchmark::State& state) {
   ScopedKernelBackend backend(
       static_cast<KernelBackend>(state.range(0)));
@@ -100,7 +98,7 @@ void BM_LstmGatesForward(benchmark::State& state) {
     benchmark::DoNotOptimize(hc);
   }
 }
-BENCHMARK(BM_LstmGatesForward)->ArgName("backend")->Arg(0)->Arg(2);
+BENCHMARK(BM_LstmGatesForward)->ArgName("backend")->Arg(0)->Arg(1);
 
 void BM_LstmGatesBackward(benchmark::State& state) {
   ScopedKernelBackend backend(
@@ -118,7 +116,7 @@ void BM_LstmGatesBackward(benchmark::State& state) {
     benchmark::DoNotOptimize(dpre);
   }
 }
-BENCHMARK(BM_LstmGatesBackward)->ArgName("backend")->Arg(0)->Arg(2);
+BENCHMARK(BM_LstmGatesBackward)->ArgName("backend")->Arg(0)->Arg(1);
 
 void BM_SoftmaxRows(benchmark::State& state) {
   Rng rng(1);
@@ -401,19 +399,18 @@ void BM_CorrectorE2E(benchmark::State& state) {
       double(invalidations->value() - invalidations0) / state.iterations());
 }
 // The legacy/heap corner stays on the scalar backend (its original
-// baseline); the fused/arena configuration additionally runs on blocked
-// and simd for the end-to-end per-backend picture. The plan axis pairs
-// {1,0,0}/{1,0,1} (scalar) and {1,2,0}/{1,2,1} (simd) so perfdiff can
-// report the plan-vs-dynamic end-to-end speedup (>= 1.2x acceptance) at
-// both ends of the kernel spectrum.
+// baseline); the fused/arena configuration additionally runs on simd for
+// the end-to-end per-backend picture. The plan axis pairs {1,0,0}/{1,0,1}
+// (scalar) and {1,1,0}/{1,1,1} (simd) so perfdiff can report the
+// plan-vs-dynamic end-to-end speedup (>= 1.2x acceptance) at both ends of
+// the kernel spectrum.
 BENCHMARK(BM_CorrectorE2E)
     ->ArgNames({"fused_arena", "backend", "plan"})
     ->Args({0, 0, 0})
     ->Args({1, 0, 0})
     ->Args({1, 0, 1})
+    ->Args({1, 1, 0})
     ->Args({1, 1, 1})
-    ->Args({1, 2, 0})
-    ->Args({1, 2, 1})
     ->Unit(benchmark::kMillisecond);
 
 // Same corrector experiment with crash-consistent checkpointing armed at

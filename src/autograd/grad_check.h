@@ -53,10 +53,10 @@ GradCheckResult CheckGradientsBothKernelPaths(
 // {serial, row-parallel} combination and folds the bitwise max deviation
 // from the oracle gradients into serial_parallel_grad_diff. The re-runs
 // skip the numeric differencing — backend invariance is a bitwise claim
-// about the analytic pass, so one oracle-vs-numeric comparison plus six
+// about the analytic pass, so one oracle-vs-numeric comparison plus three
 // backward passes buys the same coverage at a fraction of the cost. This
-// is how the grad-check suites extend their coverage to the blocked/simd
-// kernel bodies; a new backend added to AllKernelBackends() is swept
+// is how the grad-check suites extend their coverage to the simd kernel
+// bodies; a new backend added to AllKernelBackends() is swept
 // automatically.
 GradCheckResult CheckGradientsAllBackends(
     const std::function<Var(const std::vector<Var>&)>& build_loss,

@@ -59,6 +59,7 @@ struct Node {
   int64_t count = 0;
   int64_t flops = 0;
   int64_t bytes = 0;
+  int64_t special = 0;
   std::vector<std::unique_ptr<Node>> children;
 
   Node(const char* n, Node* p) : name(n), parent(p) {}
@@ -128,6 +129,7 @@ void MergeInto(ReportNode* dst, const Node& src) {
   dst->count += src.count;
   dst->flops += src.flops;
   dst->bytes += src.bytes;
+  dst->special += src.special;
   for (const auto& child : src.children) {
     ReportNode* slot = nullptr;
     for (ReportNode& c : dst->children) {
@@ -137,7 +139,7 @@ void MergeInto(ReportNode* dst, const Node& src) {
       }
     }
     if (slot == nullptr) {
-      dst->children.push_back(ReportNode{child->name, 0, 0, 0, 0, {}});
+      dst->children.push_back(ReportNode{child->name, 0, 0, 0, 0, 0, {}});
       slot = &dst->children.back();
     }
     MergeInto(slot, *child);
@@ -169,6 +171,11 @@ void AddFlops(int64_t flops) {
   CurrentThreadProfile()->current->flops += flops;
 }
 
+void AddSpecialEvals(int64_t evals) {
+  if (!Enabled()) return;
+  CurrentThreadProfile()->current->special += evals;
+}
+
 void AddBytes(int64_t bytes) {
   if (!Enabled()) return;
   CurrentThreadProfile()->current->bytes += bytes;
@@ -187,7 +194,7 @@ std::vector<const char*> CurrentPath() {
 }
 
 ReportNode Snapshot() {
-  ReportNode merged{"root", 0, 0, 0, 0, {}};
+  ReportNode merged{"root", 0, 0, 0, 0, 0, {}};
   std::lock_guard<std::mutex> lock(RegistryMutex());
   for (const auto& profile : Registry()) {
     MergeInto(&merged, profile->root);
@@ -201,7 +208,7 @@ void Reset() {
   for (auto& profile : Registry()) {
     profile->root.children.clear();
     profile->root.ns = profile->root.count = 0;
-    profile->root.flops = profile->root.bytes = 0;
+    profile->root.flops = profile->root.bytes = profile->root.special = 0;
     // A quiescent thread's cursor sits at its root; re-point it there in
     // case the profile belonged to a thread that already exited.
     profile->current = &profile->root;
@@ -347,6 +354,7 @@ void NodeToJson(const ReportNode& node, bool include_timing, int indent,
   }
   *os << ",\"count\":" << node.count << ",\"flops\":" << node.flops
       << ",\"bytes\":" << node.bytes;
+  if (node.special > 0) *os << ",\"special\":" << node.special;
   if (node.flops > 0 && node.bytes > 0) {
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%.4g",
@@ -411,18 +419,21 @@ struct KernelAgg {
   int64_t count = 0;
   int64_t flops = 0;
   int64_t bytes = 0;
+  int64_t special = 0;
 };
 
-// Aggregates leaf-attributed work (nodes carrying flops) by name over the
-// whole tree: the per-kernel rows of the roofline table.
+// Aggregates leaf-attributed work (nodes carrying flops or special-function
+// evaluations) by name over the whole tree: the per-kernel rows of the
+// roofline table.
 void AggregateKernels(const ReportNode& node,
                       std::map<std::string, KernelAgg>* out) {
-  if (node.flops > 0) {
+  if (node.flops > 0 || node.special > 0) {
     KernelAgg& agg = (*out)[node.name];
     agg.ns += node.ns;
     agg.count += node.count;
     agg.flops += node.flops;
     agg.bytes += node.bytes;
+    agg.special += node.special;
   }
   for (const ReportNode& c : node.children) AggregateKernels(c, out);
 }
@@ -541,9 +552,9 @@ std::string RooflineReport(const ReportNode& root, double peak_gflops) {
   }
 
   os << "\nkernel roofline (aggregated over all scopes):\n";
-  std::snprintf(buf, sizeof(buf), "  %-24s %9s %10s %9s %9s %7s%s\n",
-                "kernel", "calls", "time_ms", "GFLOP/s", "flop/B", "%wall",
-                peak_gflops > 0.0 ? "   %peak" : "");
+  std::snprintf(buf, sizeof(buf), "  %-24s %9s %10s %9s %9s %9s %7s%s\n",
+                "kernel", "calls", "time_ms", "GFLOP/s", "Gspec/s", "flop/B",
+                "%wall", peak_gflops > 0.0 ? "   %peak" : "");
   os << buf;
   std::map<std::string, KernelAgg> kernels;
   AggregateKernels(root, &kernels);
@@ -557,12 +568,16 @@ std::string RooflineReport(const ReportNode& root, double peak_gflops) {
     double gflops = agg.ns > 0 ? static_cast<double>(agg.flops) /
                                      static_cast<double>(agg.ns)
                                : 0.0;
+    double gspecial = agg.ns > 0 ? static_cast<double>(agg.special) /
+                                       static_cast<double>(agg.ns)
+                                 : 0.0;
     double ai = agg.bytes > 0 ? static_cast<double>(agg.flops) /
                                     static_cast<double>(agg.bytes)
                               : 0.0;
-    std::snprintf(buf, sizeof(buf), "  %-24s %9lld %10.2f %9.2f %9.2f %6.1f%%",
+    std::snprintf(buf, sizeof(buf),
+                  "  %-24s %9lld %10.2f %9.2f %9.3f %9.2f %6.1f%%",
                   name.c_str(), static_cast<long long>(agg.count),
-                  static_cast<double>(agg.ns) / 1e6, gflops, ai,
+                  static_cast<double>(agg.ns) / 1e6, gflops, gspecial, ai,
                   wall_ns > 0 ? 100.0 * static_cast<double>(agg.ns) /
                                     static_cast<double>(wall_ns)
                               : 0.0);

@@ -16,9 +16,10 @@
 //
 // Each thread owns a scope tree (phase → op → kernel); a Scope pushes one
 // node on construction and adds its elapsed time on destruction. Kernel
-// call sites attach FLOP and byte counts to the innermost open scope, which
-// is what the roofline report divides to get achieved GFLOP/s and
-// arithmetic intensity per kernel.
+// call sites attach FLOP, special-function and byte counts to the innermost
+// open scope, which is what the roofline report divides to get achieved
+// GFLOP/s, special-function evaluations per second and arithmetic
+// intensity per kernel.
 //
 // Worker threads of parallel::ThreadPool re-root their trees under the
 // scope path captured when ParallelFor was issued (ScopedContext), so a
@@ -53,14 +54,18 @@ namespace obs {
 namespace prof {
 
 // One merged tree node. Totals are inclusive (children included in ns);
-// flops/bytes are attributed directly to the node by AddFlops/AddBytes at
-// call sites, not rolled up.
+// flops/special/bytes are attributed directly to the node by AddFlops/
+// AddSpecialEvals/AddBytes at call sites, not rolled up.
 struct ReportNode {
   std::string name;
   int64_t ns = 0;
   int64_t count = 0;
   int64_t flops = 0;
   int64_t bytes = 0;
+  // Special-function (exp, tanh, sigmoid) evaluations. Counted apart from
+  // flops: one costs tens of flops, so a transcendental-bound kernel would
+  // otherwise read as a near-idle GFLOP/s.
+  int64_t special = 0;
   std::vector<ReportNode> children;  // sorted by name
 
   const ReportNode* Child(const std::string& child_name) const;
@@ -74,9 +79,10 @@ struct ReportNode {
 inline bool Enabled() { return false; }
 inline void SetEnabled(bool) {}
 inline void AddFlops(int64_t) {}
+inline void AddSpecialEvals(int64_t) {}
 inline void AddBytes(int64_t) {}
 inline void Reset() {}
-inline ReportNode Snapshot() { return ReportNode{"root", 0, 0, 0, 0, {}}; }
+inline ReportNode Snapshot() { return ReportNode{"root", 0, 0, 0, 0, 0, {}}; }
 inline std::vector<const char*> CurrentPath() { return {}; }
 
 class Scope {
@@ -106,6 +112,7 @@ void SetEnabled(bool on);
 // thread (the profile root when no scope is open). One relaxed load + two
 // plain adds when enabled.
 void AddFlops(int64_t flops);
+void AddSpecialEvals(int64_t evals);
 void AddBytes(int64_t bytes);
 
 // Scope path of the current thread, outermost first. Captured by
@@ -197,7 +204,8 @@ std::string ToCollapsed(const ReportNode& root);
 
 // Human-readable roofline/attribution report: per-phase wall share with
 // unattributed remainder, and per-kernel calls / time / GFLOP/s /
-// arithmetic intensity aggregated by kernel name over the whole tree.
+// special-function evaluations per second (Gspec/s) / arithmetic
+// intensity aggregated by kernel name over the whole tree.
 // `peak_gflops` > 0 adds a %-of-peak column (CLFD_PEAK_GFLOPS env at the
 // exit-hook call site).
 std::string RooflineReport(const ReportNode& root, double peak_gflops = 0.0);

@@ -3,7 +3,6 @@
 #include <atomic>
 
 #include "common/env.h"
-#include "obs/log.h"
 #include "obs/prof.h"
 
 namespace clfd {
@@ -27,10 +26,9 @@ void Annotate(KernelBackend b) {
 const char* KernelBackendName(KernelBackend backend) {
   switch (backend) {
     case KernelBackend::kScalar: return "scalar";
-    case KernelBackend::kBlocked: return "blocked";
     case KernelBackend::kSimd: return "simd";
   }
-  return "scalar";
+  return "simd";
 }
 
 bool ParseKernelBackend(const std::string& name, KernelBackend* out) {
@@ -43,20 +41,20 @@ bool ParseKernelBackend(const std::string& name, KernelBackend* out) {
   return false;
 }
 
-const std::array<KernelBackend, 3>& AllKernelBackends() {
-  static const std::array<KernelBackend, 3> all = {
-      KernelBackend::kScalar, KernelBackend::kBlocked, KernelBackend::kSimd};
+const std::array<KernelBackend, 2>& AllKernelBackends() {
+  static const std::array<KernelBackend, 2> all = {KernelBackend::kScalar,
+                                                   KernelBackend::kSimd};
   return all;
 }
 
 KernelBackend CurrentKernelBackend() {
   int v = g_kernel_backend.load(std::memory_order_relaxed);
   if (v < 0) {
-    KernelBackend b = KernelBackend::kScalar;
-    const std::string name = GetEnvString("CLFD_KERNEL_BACKEND", "scalar");
+    KernelBackend b = KernelBackend::kSimd;
+    const std::string name = GetEnvString("CLFD_KERNEL_BACKEND", "simd");
     if (!ParseKernelBackend(name, &b)) {
-      CLFD_LOG(WARN) << "unrecognized CLFD_KERNEL_BACKEND, using scalar"
-                     << obs::Kv("value", name);
+      throw KernelBackendError("bad CLFD_KERNEL_BACKEND '" + name +
+                               "' (want scalar|simd)");
     }
     v = static_cast<int>(b);
     g_kernel_backend.store(v, std::memory_order_relaxed);

@@ -1,34 +1,42 @@
 #pragma once
 
 #include <array>
+#include <stdexcept>
 #include <string>
 
 namespace clfd {
 
-// Which compiled bodies the dense kernels in matrix.cc dispatch to. All
-// three backends are bitwise-interchangeable: every output element is
+// Which compiled bodies the dense kernels in matrix.cc dispatch to. The
+// two backends are bitwise-interchangeable: every output element is
 // accumulated over k in the same ascending order with one rounded add per
-// term (and the same zero-skip control flow), so switching backends — like
-// switching thread widths — can never change a single result bit. The
-// equivalence suite in tests/kernel_backend_test.cc enforces this against
-// the scalar oracle for every kernel; DESIGN.md §12 gives the argument.
+// term (and the same zero-skip control flow), and the transcendentals are
+// the same fmath.h functions, so switching backends — like switching
+// thread widths — can never change a single result bit. The equivalence
+// suite in tests/kernel_backend_test.cc enforces this against the scalar
+// oracle for every kernel; DESIGN.md §12 gives the argument.
 //
-//   scalar   the original per-row loops (the oracle; also the fallback for
-//            tile remainders inside the other two backends)
-//   blocked  register-tiled (4x8 output tile) + L1-blocked over k
-//   simd     the blocked tiling with fixed trip counts and __restrict
+//   scalar   the original per-row loops: the oracle the tests select, and
+//            the fallback for tile remainders inside simd
+//   simd     register-tiled (4x8 output tile) matmuls and lane-blocked
+//            elementwise bodies with fixed trip counts and __restrict
 //            qualified pointers, written so the compiler's portable
-//            auto-vectorizer emits packed arithmetic (no intrinsics)
+//            auto-vectorizer emits packed arithmetic (no intrinsics); the
+//            production default
 enum class KernelBackend : int {
   kScalar = 0,
-  kBlocked = 1,
-  kSimd = 2,
+  kSimd = 1,
 };
 
-// Active backend. Reads CLFD_KERNEL_BACKEND (scalar|blocked|simd, default
-// scalar) on first use; an unrecognized value falls back to scalar with a
-// warning. One relaxed atomic load on the hot path, same idiom as
-// MatmulParallelThreshold.
+// Raised when CLFD_KERNEL_BACKEND names no backend.
+class KernelBackendError : public std::invalid_argument {
+ public:
+  using std::invalid_argument::invalid_argument;
+};
+
+// Active backend. Reads CLFD_KERNEL_BACKEND (scalar|simd, default simd) on
+// first use and throws KernelBackendError for any other value, rather than
+// silently running a different backend than the one asked for. One relaxed
+// atomic load on the hot path, same idiom as MatmulParallelThreshold.
 KernelBackend CurrentKernelBackend();
 
 // Process-wide override (the CLI --kernel-backend flag lands here). Also
@@ -36,7 +44,7 @@ KernelBackend CurrentKernelBackend();
 // attributed to the backend that produced them.
 void SetKernelBackend(KernelBackend backend);
 
-// "scalar" / "blocked" / "simd".
+// "scalar" / "simd".
 const char* KernelBackendName(KernelBackend backend);
 
 // Parses a backend name; returns false (and leaves *out alone) on an
@@ -45,7 +53,7 @@ bool ParseKernelBackend(const std::string& name, KernelBackend* out);
 
 // All backends, scalar first — test sweeps iterate this so a new backend
 // is picked up by every equivalence/grad-check suite automatically.
-const std::array<KernelBackend, 3>& AllKernelBackends();
+const std::array<KernelBackend, 2>& AllKernelBackends();
 
 // Test helper: force a backend for a lexical scope, restoring the previous
 // selection on exit. Not thread-safe (flips the process-wide selector);

@@ -15,6 +15,7 @@
 #include "obs/prof.h"
 #include "parallel/thread_pool.h"
 #include "tensor/arena.h"
+#include "tensor/fmath.h"
 #include "tensor/kernel_backend.h"
 
 namespace clfd {
@@ -249,14 +250,14 @@ void MatMulTransposeBRows(const Matrix& a, const Matrix& b, Matrix* c, int r0,
 }
 
 // ---------------------------------------------------------------------------
-// Blocked / simd backend bodies (selected by CurrentKernelBackend()).
+// Simd backend bodies (selected by CurrentKernelBackend()).
 //
-// Determinism contract (DESIGN.md §12): every backend accumulates each
+// Determinism contract (DESIGN.md §12): the simd bodies accumulate each
 // output element over k in the same ascending order as the scalar oracle
 // above, with one rounded add per term and the oracle's zero-skip control
 // flow replicated per row. Register tiles regroup *independent* per-element
 // chains for ILP/vectorization — they never re-associate within a chain —
-// so every backend is bitwise-equal to scalar on all inputs, including
+// so simd is bitwise-equal to scalar on all inputs, including
 // signed zeros, denormals, and Infs (tests/kernel_backend_test.cc sweeps
 // exactly these). The one exception is NaN *payload* bits: x86 add/mul
 // keep one operand's NaN and the compiler may commute FP operands, so
@@ -279,98 +280,17 @@ constexpr int kRowTile = 4;
 // Accumulator tile width: 4 SSE vectors per row, 8 xmm registers total for
 // the tile — half the register file, leaving room for the A/B operands.
 constexpr int kColTile = 8;
-// k-panel length for the blocked backend: one j-tile's B panel
-// (kKBlock x kColTile floats = 8 KB) stays L1-resident across the tile.
-// The panel split spills accumulators to C between panels — a memory
-// round-trip per element, which preserves float bits exactly.
-constexpr int kKBlock = 256;
-
-// Rows [r0, r1) of C = A * B, blocked backend.
-void MatMulRowsBlocked(const Matrix& a, const Matrix& b, Matrix* c, int r0,
-                       int r1) {
-  const int kt = a.cols();
-  const int n = b.cols();
-  int i = r0;
-  for (; i + kRowTile <= r1; i += kRowTile) {
-    const float* a0 = a.row(i);
-    const float* a1 = a.row(i + 1);
-    const float* a2 = a.row(i + 2);
-    const float* a3 = a.row(i + 3);
-    float* c0 = c->row(i);
-    float* c1 = c->row(i + 1);
-    float* c2 = c->row(i + 2);
-    float* c3 = c->row(i + 3);
-    int jj = 0;
-    for (; jj + kColTile <= n; jj += kColTile) {
-      for (int kk = 0; kk < kt; kk += kKBlock) {
-        const int kend = std::min(kt, kk + kKBlock);
-        // Accumulators resume from C (zero-fresh on the first panel), and
-        // the final store is an assignment, not an extra add — each
-        // element sees exactly one ascending-k chain.
-        float acc0[kColTile], acc1[kColTile], acc2[kColTile], acc3[kColTile];
-        for (int t = 0; t < kColTile; ++t) {
-          acc0[t] = c0[jj + t];
-          acc1[t] = c1[jj + t];
-          acc2[t] = c2[jj + t];
-          acc3[t] = c3[jj + t];
-        }
-        for (int k = kk; k < kend; ++k) {
-          const float* brow = b.row(k) + jj;
-          const float v0 = a0[k], v1 = a1[k], v2 = a2[k], v3 = a3[k];
-          if (v0 != 0.0f && v1 != 0.0f && v2 != 0.0f && v3 != 0.0f) {
-            for (int t = 0; t < kColTile; ++t) {
-              const float bv = brow[t];
-              acc0[t] += v0 * bv;
-              acc1[t] += v1 * bv;
-              acc2[t] += v2 * bv;
-              acc3[t] += v3 * bv;
-            }
-          } else {
-            // Oracle zero-skip per row: a skipped term is no operation at
-            // all, not an add of ±0 (which would flush -0 partials and
-            // turn 0*Inf into NaN).
-            if (v0 != 0.0f) {
-              for (int t = 0; t < kColTile; ++t) acc0[t] += v0 * brow[t];
-            }
-            if (v1 != 0.0f) {
-              for (int t = 0; t < kColTile; ++t) acc1[t] += v1 * brow[t];
-            }
-            if (v2 != 0.0f) {
-              for (int t = 0; t < kColTile; ++t) acc2[t] += v2 * brow[t];
-            }
-            if (v3 != 0.0f) {
-              for (int t = 0; t < kColTile; ++t) acc3[t] += v3 * brow[t];
-            }
-          }
-        }
-        for (int t = 0; t < kColTile; ++t) {
-          c0[jj + t] = acc0[t];
-          c1[jj + t] = acc1[t];
-          c2[jj + t] = acc2[t];
-          c3[jj + t] = acc3[t];
-        }
-      }
-    }
-    // Column remainder: the oracle's per-row loops over [jj, n).
-    for (int rr = 0; jj < n && rr < kRowTile; ++rr) {
-      const float* arow = a.row(i + rr);
-      float* crow = c->row(i + rr);
-      for (int k = 0; k < kt; ++k) {
-        const float aik = arow[k];
-        if (aik == 0.0f) continue;
-        const float* brow = b.row(k);
-        for (int j = jj; j < n; ++j) crow[j] += aik * brow[j];
-      }
-    }
-  }
-  if (i < r1) MatMulRows(a, b, c, i, r1);
-}
+// Lane block of the elementwise simd bodies. GCC's -O2 cost model
+// vectorizes only loops with a fixed trip count, so each body runs whole
+// kLanes blocks (two SSE vectors) followed by a scalar remainder that
+// calls the same per-element code.
+constexpr int kLanes = 8;
 
 // Rows [r0, r1) of C = A * B, simd backend: the register tiling above with
 // __restrict-qualified pointers and fixed trip counts, which is what lets
-// the autovectorizer emit packed arithmetic without intrinsics. No k-panel
-// split: accumulators live in registers for the whole k sweep (one chain
-// per element, same bits).
+// the autovectorizer emit packed arithmetic without intrinsics.
+// Accumulators live in registers for the whole k sweep (one chain per
+// element, same bits).
 void MatMulRowsSimd(const Matrix& a, const Matrix& b, Matrix* c, int r0,
                     int r1) {
   const int kt = a.cols();
@@ -437,77 +357,6 @@ void MatMulRowsSimd(const Matrix& a, const Matrix& b, Matrix* c, int r0,
     }
   }
   if (i < r1) MatMulRows(a, b, c, i, r1);
-}
-
-// Rows [r0, r1) of C = A^T * B, blocked backend. Same tiling as MatMul;
-// the tile's four A values per k are a.at(k, i..i+3) — contiguous in row k.
-void MatMulTransposeARowsBlocked(const Matrix& a, const Matrix& b, Matrix* c,
-                                 int r0, int r1) {
-  const int kt = a.rows();
-  const int n = b.cols();
-  int i = r0;
-  for (; i + kRowTile <= r1; i += kRowTile) {
-    float* c0 = c->row(i);
-    float* c1 = c->row(i + 1);
-    float* c2 = c->row(i + 2);
-    float* c3 = c->row(i + 3);
-    int jj = 0;
-    for (; jj + kColTile <= n; jj += kColTile) {
-      for (int kk = 0; kk < kt; kk += kKBlock) {
-        const int kend = std::min(kt, kk + kKBlock);
-        float acc0[kColTile], acc1[kColTile], acc2[kColTile], acc3[kColTile];
-        for (int t = 0; t < kColTile; ++t) {
-          acc0[t] = c0[jj + t];
-          acc1[t] = c1[jj + t];
-          acc2[t] = c2[jj + t];
-          acc3[t] = c3[jj + t];
-        }
-        for (int k = kk; k < kend; ++k) {
-          const float* ak = a.row(k) + i;
-          const float* brow = b.row(k) + jj;
-          const float v0 = ak[0], v1 = ak[1], v2 = ak[2], v3 = ak[3];
-          if (v0 != 0.0f && v1 != 0.0f && v2 != 0.0f && v3 != 0.0f) {
-            for (int t = 0; t < kColTile; ++t) {
-              const float bv = brow[t];
-              acc0[t] += v0 * bv;
-              acc1[t] += v1 * bv;
-              acc2[t] += v2 * bv;
-              acc3[t] += v3 * bv;
-            }
-          } else {
-            if (v0 != 0.0f) {
-              for (int t = 0; t < kColTile; ++t) acc0[t] += v0 * brow[t];
-            }
-            if (v1 != 0.0f) {
-              for (int t = 0; t < kColTile; ++t) acc1[t] += v1 * brow[t];
-            }
-            if (v2 != 0.0f) {
-              for (int t = 0; t < kColTile; ++t) acc2[t] += v2 * brow[t];
-            }
-            if (v3 != 0.0f) {
-              for (int t = 0; t < kColTile; ++t) acc3[t] += v3 * brow[t];
-            }
-          }
-        }
-        for (int t = 0; t < kColTile; ++t) {
-          c0[jj + t] = acc0[t];
-          c1[jj + t] = acc1[t];
-          c2[jj + t] = acc2[t];
-          c3[jj + t] = acc3[t];
-        }
-      }
-    }
-    for (int rr = 0; jj < n && rr < kRowTile; ++rr) {
-      float* crow = c->row(i + rr);
-      for (int k = 0; k < kt; ++k) {
-        const float aki = a.at(k, i + rr);
-        if (aki == 0.0f) continue;
-        const float* brow = b.row(k);
-        for (int j = jj; j < n; ++j) crow[j] += aki * brow[j];
-      }
-    }
-  }
-  if (i < r1) MatMulTransposeARows(a, b, c, i, r1);
 }
 
 // Rows [r0, r1) of C = A^T * B, simd backend.
@@ -580,11 +429,11 @@ void MatMulTransposeARowsSimd(const Matrix& a, const Matrix& b, Matrix* c,
 // lockstep — an ILP transform, not a reduction reorder.
 constexpr int kDotTile = 4;
 
-// Rows [r0, r1) of C = A * B^T, shared tiled body for blocked and simd
-// (the dot tile keeps all state in scalar registers either way; restrict
-// adds nothing because every loop already carries a serial dependence).
-void MatMulTransposeBRowsTiled(const Matrix& a, const Matrix& b, Matrix* c,
-                               int r0, int r1) {
+// Rows [r0, r1) of C = A * B^T, simd backend (the dot tile keeps all state
+// in scalar registers; restrict adds nothing because every loop already
+// carries a serial dependence).
+void MatMulTransposeBRowsSimd(const Matrix& a, const Matrix& b, Matrix* c,
+                              int r0, int r1) {
   const int kt = a.cols();
   const int m = b.rows();
   int i = r0;
@@ -650,7 +499,7 @@ void MatMulTransposeBRowsTiled(const Matrix& a, const Matrix& b, Matrix* c,
 // Chunks are kRowTile rows (a pure function of the row count, so the
 // width-independence above still holds, and backend-independent so the
 // deterministic report is also identical across kernel backends): the
-// blocked/simd bodies then form full register tiles inside every chunk but
+// simd bodies then form full register tiles inside every chunk but
 // the last. Which rows share a tile never affects results — a tile groups
 // independent per-row chains, it does not mix them.
 template <typename Body>
@@ -707,16 +556,10 @@ void MatMulInto(const Matrix& a, const Matrix& b, Matrix* c) {
   // The row bodies accumulate into C, so a reused buffer must restart at
   // zero — the state a freshly constructed result had.
   EnsureShape(c, a.rows(), b.cols(), /*zeroed=*/true);
-  switch (CurrentKernelBackend()) {
-    case KernelBackend::kScalar:
-      DispatchRows(a, b, c, flops, MatMulRows);
-      break;
-    case KernelBackend::kBlocked:
-      DispatchRows(a, b, c, flops, MatMulRowsBlocked);
-      break;
-    case KernelBackend::kSimd:
-      DispatchRows(a, b, c, flops, MatMulRowsSimd);
-      break;
+  if (CurrentKernelBackend() == KernelBackend::kScalar) {
+    DispatchRows(a, b, c, flops, MatMulRows);
+  } else {
+    DispatchRows(a, b, c, flops, MatMulRowsSimd);
   }
 }
 
@@ -737,16 +580,10 @@ void MatMulTransposeAInto(const Matrix& a, const Matrix& b, Matrix* c) {
   obs::prof::AddBytes(int64_t{4} *
                       (a.size() + b.size() + int64_t{a.cols()} * b.cols()));
   EnsureShape(c, a.cols(), b.cols(), /*zeroed=*/true);
-  switch (CurrentKernelBackend()) {
-    case KernelBackend::kScalar:
-      DispatchRows(a, b, c, flops, MatMulTransposeARows);
-      break;
-    case KernelBackend::kBlocked:
-      DispatchRows(a, b, c, flops, MatMulTransposeARowsBlocked);
-      break;
-    case KernelBackend::kSimd:
-      DispatchRows(a, b, c, flops, MatMulTransposeARowsSimd);
-      break;
+  if (CurrentKernelBackend() == KernelBackend::kScalar) {
+    DispatchRows(a, b, c, flops, MatMulTransposeARows);
+  } else {
+    DispatchRows(a, b, c, flops, MatMulTransposeARowsSimd);
   }
 }
 
@@ -773,7 +610,7 @@ void MatMulTransposeBInto(const Matrix& a, const Matrix& b, Matrix* c) {
   if (CurrentKernelBackend() == KernelBackend::kScalar) {
     DispatchRows(a, b, c, flops, MatMulTransposeBRows);
   } else {
-    DispatchRows(a, b, c, flops, MatMulTransposeBRowsTiled);
+    DispatchRows(a, b, c, flops, MatMulTransposeBRowsSimd);
   }
 }
 
@@ -797,7 +634,34 @@ namespace {
 // Elementwise kernels have no cross-element arithmetic, so backends may
 // only differ in how the compiler schedules the identical per-element
 // expression — the simd variants below just hand it __restrict pointers
-// and a hoisted bound. Bitwise equality across backends is structural.
+// and fixed-width lane blocks. Bitwise equality across backends is
+// structural.
+
+// Simd elementwise bodies. The __restrict qualifiers sit on parameters,
+// where GCC honours them (and keeps them through inlining), so the lane
+// loops need no runtime alias check. A loop vectorizes only when every call
+// in it is inlined, and GCC's -O2 heuristics leave a body the size of
+// fmath::Tanh out of line, hence flatten.
+template <typename Fn>
+[[gnu::flatten]] void BinaryLanes(const float* __restrict pa,
+                                  const float* __restrict pb,
+                                  float* __restrict pc, int n, Fn fn) {
+  int i = 0;
+  for (; i + kLanes <= n; i += kLanes) {
+    for (int t = 0; t < kLanes; ++t) pc[i + t] = fn(pa[i + t], pb[i + t]);
+  }
+  for (; i < n; ++i) pc[i] = fn(pa[i], pb[i]);
+}
+
+template <typename Fn>
+[[gnu::flatten]] void UnaryLanes(const float* __restrict pa,
+                                 float* __restrict pc, int n, Fn fn) {
+  int i = 0;
+  for (; i + kLanes <= n; i += kLanes) {
+    for (int t = 0; t < kLanes; ++t) pc[i + t] = fn(pa[i + t]);
+  }
+  for (; i < n; ++i) pc[i] = fn(pa[i]);
+}
 
 template <typename Fn>
 void BinaryInto(const Matrix& a, const Matrix& b, Matrix* c, Fn fn) {
@@ -806,11 +670,7 @@ void BinaryInto(const Matrix& a, const Matrix& b, Matrix* c, Fn fn) {
   CLFD_METRIC_COUNT("tensor.elementwise.calls", 1);
   EnsureShape(c, a.rows(), a.cols(), /*zeroed=*/false);
   if (CurrentKernelBackend() == KernelBackend::kSimd && a.size() > 0) {
-    const float* __restrict pa = a.data();
-    const float* __restrict pb = b.data();
-    float* __restrict pc = c->data();
-    const int n = a.size();
-    for (int i = 0; i < n; ++i) pc[i] = fn(pa[i], pb[i]);
+    BinaryLanes(a.data(), b.data(), c->data(), a.size(), fn);
   } else {
     for (int i = 0; i < a.size(); ++i) (*c)[i] = fn(a[i], b[i]);
   }
@@ -821,10 +681,7 @@ void UnaryInto(const Matrix& a, Matrix* c, Fn fn) {
   CLFD_METRIC_COUNT("tensor.elementwise.calls", 1);
   EnsureShape(c, a.rows(), a.cols(), /*zeroed=*/false);
   if (CurrentKernelBackend() == KernelBackend::kSimd && a.size() > 0) {
-    const float* __restrict pa = a.data();
-    float* __restrict pc = c->data();
-    const int n = a.size();
-    for (int i = 0; i < n; ++i) pc[i] = fn(pa[i]);
+    UnaryLanes(a.data(), c->data(), a.size(), fn);
   } else {
     for (int i = 0; i < a.size(); ++i) (*c)[i] = fn(a[i]);
   }
@@ -842,6 +699,16 @@ Matrix Unary(const Matrix& a, Fn fn) {
   Matrix c;
   UnaryInto(a, &c, fn);
   return c;
+}
+
+// An elementwise transcendental: its own profiler scope, carrying one
+// special-function evaluation per element in place of FLOPs.
+template <typename Fn>
+void SpecialInto(const char* name, const Matrix& a, Matrix* c, Fn fn) {
+  CLFD_PROF_SCOPE(name);
+  obs::prof::AddSpecialEvals(a.size());
+  obs::prof::AddBytes(int64_t{8} * a.size());
+  UnaryInto(a, c, fn);
 }
 
 }  // namespace
@@ -900,7 +767,9 @@ Matrix AddRowBroadcast(const Matrix& a, const Matrix& row_vec) {
 }
 
 Matrix Exp(const Matrix& a) {
-  return Unary(a, [](float x) { return std::exp(x); });
+  Matrix c;
+  ExpInto(a, &c);
+  return c;
 }
 Matrix Log(const Matrix& a) {
   return Unary(a, [](float x) { return std::log(std::max(x, 1e-12f)); });
@@ -909,10 +778,14 @@ Matrix Pow(const Matrix& a, float p) {
   return Unary(a, [p](float x) { return std::pow(x, p); });
 }
 Matrix Tanh(const Matrix& a) {
-  return Unary(a, [](float x) { return std::tanh(x); });
+  Matrix c;
+  TanhInto(a, &c);
+  return c;
 }
 Matrix Sigmoid(const Matrix& a) {
-  return Unary(a, [](float x) { return 1.0f / (1.0f + std::exp(-x)); });
+  Matrix c;
+  SigmoidInto(a, &c);
+  return c;
 }
 Matrix Relu(const Matrix& a) {
   return Unary(a, [](float x) { return x > 0.0f ? x : 0.0f; });
@@ -922,7 +795,7 @@ Matrix LeakyRelu(const Matrix& a, float slope) {
 }
 
 void ExpInto(const Matrix& a, Matrix* c) {
-  UnaryInto(a, c, [](float x) { return std::exp(x); });
+  SpecialInto("Exp", a, c, [](float x) { return fmath::Exp(x); });
 }
 void LogInto(const Matrix& a, Matrix* c) {
   UnaryInto(a, c, [](float x) { return std::log(std::max(x, 1e-12f)); });
@@ -931,10 +804,10 @@ void PowInto(const Matrix& a, float p, Matrix* c) {
   UnaryInto(a, c, [p](float x) { return std::pow(x, p); });
 }
 void TanhInto(const Matrix& a, Matrix* c) {
-  UnaryInto(a, c, [](float x) { return std::tanh(x); });
+  SpecialInto("Tanh", a, c, [](float x) { return fmath::Tanh(x); });
 }
 void SigmoidInto(const Matrix& a, Matrix* c) {
-  UnaryInto(a, c, [](float x) { return 1.0f / (1.0f + std::exp(-x)); });
+  SpecialInto("Sigmoid", a, c, [](float x) { return fmath::Sigmoid(x); });
 }
 void ReluInto(const Matrix& a, Matrix* c) {
   UnaryInto(a, c, [](float x) { return x > 0.0f ? x : 0.0f; });
@@ -981,40 +854,28 @@ void SoftmaxRowsInto(const Matrix& a, Matrix* out) {
   CLFD_METRIC_COUNT("tensor.softmax.flops", int64_t{4} * a.size());
   CLFD_PROF_SCOPE("Softmax");
   obs::prof::AddFlops(int64_t{4} * a.size());
+  obs::prof::AddSpecialEvals(a.size());
   obs::prof::AddBytes(int64_t{8} * a.size());
   EnsureShape(out, a.rows(), a.cols(), /*zeroed=*/false);
-  if (CurrentKernelBackend() == KernelBackend::kSimd) {
-    // Same per-row ops in the same order (the max and denom reductions
-    // stay ascending-c scalar chains — reordering those would change
-    // bits); __restrict lets the exp and divide passes vectorize.
-    const int cols = a.cols();
-    for (int r = 0; r < a.rows(); ++r) {
-      const float* __restrict arow = a.row(r);
-      float* __restrict orow = out->row(r);
-      float mx = -std::numeric_limits<float>::infinity();
-      for (int c = 0; c < cols; ++c) mx = std::max(mx, arow[c]);
-      double denom = 0.0;
-      for (int c = 0; c < cols; ++c) {
-        orow[c] = std::exp(arow[c] - mx);
-        denom += orow[c];
-      }
-      for (int c = 0; c < cols; ++c) {
-        orow[c] = static_cast<float>(orow[c] / denom);
-      }
-    }
-    return;
-  }
+  // Both backends run the same per-row ops in the same order: the max and
+  // denom reductions stay ascending-c scalar chains (reordering those would
+  // change bits); simd runs the exp pass in vectorized lane blocks.
+  const bool simd = CurrentKernelBackend() == KernelBackend::kSimd;
+  const int cols = a.cols();
   for (int r = 0; r < a.rows(); ++r) {
     const float* arow = a.row(r);
     float* orow = out->row(r);
     float mx = -std::numeric_limits<float>::infinity();
-    for (int c = 0; c < a.cols(); ++c) mx = std::max(mx, arow[c]);
-    double denom = 0.0;
-    for (int c = 0; c < a.cols(); ++c) {
-      orow[c] = std::exp(arow[c] - mx);
-      denom += orow[c];
+    for (int c = 0; c < cols; ++c) mx = std::max(mx, arow[c]);
+    const auto shifted_exp = [mx](float x) { return fmath::Exp(x - mx); };
+    if (simd) {
+      UnaryLanes(arow, orow, cols, shifted_exp);
+    } else {
+      for (int c = 0; c < cols; ++c) orow[c] = shifted_exp(arow[c]);
     }
-    for (int c = 0; c < a.cols(); ++c) {
+    double denom = 0.0;
+    for (int c = 0; c < cols; ++c) denom += orow[c];
+    for (int c = 0; c < cols; ++c) {
       orow[c] = static_cast<float>(orow[c] / denom);
     }
   }
@@ -1163,6 +1024,28 @@ namespace {
 // path bit-identical to the legacy tape — see the derivation in DESIGN.md
 // §9 and the equality tests in tests/nn_test.cc.
 
+// One hidden unit of the gate forward: h_t, c_t and the activations the
+// backward pass reads. The scalar and simd row bodies both call it, so the
+// oracle and every vector lane perform the same float operations.
+struct LstmUnit {
+  float h, c, i, f, g, o, tc;
+};
+
+inline LstmUnit LstmGateUnit(float pi, float pf, float pg, float po,
+                             float c_prev) {
+  LstmUnit u;
+  u.i = fmath::Sigmoid(pi);                             // Sigmoid
+  u.f = fmath::Sigmoid(pf);                             // Sigmoid
+  u.g = fmath::Tanh(pg);                                // Tanh
+  u.o = fmath::Sigmoid(po);                             // Sigmoid
+  float t1 = u.f * c_prev;                              // Mul(f, c_prev)
+  float t2 = u.i * u.g;                                 // Mul(i, g)
+  u.c = t1 + t2;                                        // Add
+  u.tc = fmath::Tanh(u.c);                              // Tanh
+  u.h = u.o * u.tc;                                     // Mul -> h_t
+  return u;
+}
+
 void LstmGatesForwardRows(const Matrix& pre, const Matrix& hc_prev, Matrix* hc,
                           Matrix* acts, int r0, int r1) {
   const int h = pre.cols() / 4;
@@ -1172,21 +1055,15 @@ void LstmGatesForwardRows(const Matrix& pre, const Matrix& hc_prev, Matrix* hc,
     float* out = hc->row(r);
     float* act = acts->row(r);
     for (int j = 0; j < h; ++j) {
-      float iv = 1.0f / (1.0f + std::exp(-p[j]));           // Sigmoid
-      float fv = 1.0f / (1.0f + std::exp(-p[h + j]));       // Sigmoid
-      float gv = std::tanh(p[2 * h + j]);                   // Tanh
-      float ov = 1.0f / (1.0f + std::exp(-p[3 * h + j]));   // Sigmoid
-      float t1 = fv * hcp[h + j];                           // Mul(f, c_prev)
-      float t2 = iv * gv;                                   // Mul(i, g)
-      float cv = t1 + t2;                                   // Add
-      float tc = std::tanh(cv);                             // Tanh
-      out[j] = ov * tc;                                     // Mul -> h_t
-      out[h + j] = cv;                                      // c_t
-      act[j] = iv;
-      act[h + j] = fv;
-      act[2 * h + j] = gv;
-      act[3 * h + j] = ov;
-      act[4 * h + j] = tc;
+      const LstmUnit u =
+          LstmGateUnit(p[j], p[h + j], p[2 * h + j], p[3 * h + j], hcp[h + j]);
+      out[j] = u.h;
+      out[h + j] = u.c;
+      act[j] = u.i;
+      act[h + j] = u.f;
+      act[2 * h + j] = u.g;
+      act[3 * h + j] = u.o;
+      act[4 * h + j] = u.tc;
     }
   }
 }
@@ -1260,38 +1137,52 @@ void MatMulTransposeATimeBlockedRows(const Matrix& x, const Matrix& g,
   }
 }
 
-// ---- Backend variants of the fused LSTM bodies (DESIGN.md §12). The
-// elementwise gate bodies differ from scalar only by __restrict (per-
-// element math is identical, so bitwise equality is structural); the two
-// AddInto matmuls get the same register tiling as the standalone kernels,
-// with the oracle's per-block fresh-partial-then-add order preserved per
-// element. ----
+// ---- Simd variants of the fused LSTM bodies (DESIGN.md §12). The
+// elementwise gate bodies differ from scalar only by __restrict and lane
+// blocking (per-element math is identical, so bitwise equality is
+// structural); the two AddInto matmuls get the same register tiling as the
+// standalone kernels, with the oracle's per-block fresh-partial-then-add
+// order preserved per element. ----
+
+// One row, kLanes hidden units at a time, so the gate math (fmath's
+// selects and polynomials included) vectorizes; the remainder runs the same
+// unit body. Each h-wide block of a row gets its own __restrict parameter:
+// the blocks are disjoint, and telling the compiler so is what spares the
+// loop a runtime overlap check, which GCC's -O2 cost model refuses. Flatten
+// as for UnaryLanes.
+[[gnu::flatten]] void LstmGatesForwardRowSimd(
+    const float* __restrict pi, const float* __restrict pf,
+    const float* __restrict pg, const float* __restrict po,
+    const float* __restrict c_prev, float* __restrict h_out,
+    float* __restrict c_out, float* __restrict ai, float* __restrict af,
+    float* __restrict ag, float* __restrict ao, float* __restrict atc, int h) {
+  const auto unit = [&](int k) {
+    const LstmUnit u = LstmGateUnit(pi[k], pf[k], pg[k], po[k], c_prev[k]);
+    h_out[k] = u.h;
+    c_out[k] = u.c;
+    ai[k] = u.i;
+    af[k] = u.f;
+    ag[k] = u.g;
+    ao[k] = u.o;
+    atc[k] = u.tc;
+  };
+  int j = 0;
+  for (; j + kLanes <= h; j += kLanes) {
+    for (int t = 0; t < kLanes; ++t) unit(j + t);
+  }
+  for (; j < h; ++j) unit(j);
+}
 
 void LstmGatesForwardRowsSimd(const Matrix& pre, const Matrix& hc_prev,
                               Matrix* hc, Matrix* acts, int r0, int r1) {
   const int h = pre.cols() / 4;
   for (int r = r0; r < r1; ++r) {
-    const float* __restrict p = pre.row(r);
-    const float* __restrict hcp = hc_prev.row(r);
-    float* __restrict out = hc->row(r);
-    float* __restrict act = acts->row(r);
-    for (int j = 0; j < h; ++j) {
-      float iv = 1.0f / (1.0f + std::exp(-p[j]));
-      float fv = 1.0f / (1.0f + std::exp(-p[h + j]));
-      float gv = std::tanh(p[2 * h + j]);
-      float ov = 1.0f / (1.0f + std::exp(-p[3 * h + j]));
-      float t1 = fv * hcp[h + j];
-      float t2 = iv * gv;
-      float cv = t1 + t2;
-      float tc = std::tanh(cv);
-      out[j] = ov * tc;
-      out[h + j] = cv;
-      act[j] = iv;
-      act[h + j] = fv;
-      act[2 * h + j] = gv;
-      act[3 * h + j] = ov;
-      act[4 * h + j] = tc;
-    }
+    const float* p = pre.row(r);
+    float* out = hc->row(r);
+    float* act = acts->row(r);
+    LstmGatesForwardRowSimd(p, p + h, p + 2 * h, p + 3 * h,
+                            hc_prev.row(r) + h, out, out + h, act, act + h,
+                            act + 2 * h, act + 3 * h, act + 4 * h, h);
   }
 }
 
@@ -1489,13 +1380,13 @@ void LstmGatesForward(const Matrix& pre, const Matrix& hc_prev, Matrix* hc,
   CLFD_METRIC_COUNT("tensor.lstm_gates.flops", flops);
   CLFD_PROF_SCOPE("LstmGatesForward");
   obs::prof::AddFlops(flops);
+  // Three sigmoids and two tanhs per hidden unit.
+  obs::prof::AddSpecialEvals(int64_t{5} * pre.rows() * h);
   // Reads pre [Bx4H] + hc_prev [Bx2H], writes hc [Bx2H] + acts [Bx5H].
   obs::prof::AddBytes(int64_t{4} * pre.rows() * (13 * h));
   // Both row bodies assign every hc/acts element, so reuse needs no zeroing.
   EnsureShape(hc, pre.rows(), 2 * h, /*zeroed=*/false);
   EnsureShape(acts, pre.rows(), 5 * h, /*zeroed=*/false);
-  // scalar and blocked share the scalar body (there is nothing to block in
-  // an elementwise kernel); simd gets the __restrict variant.
   const bool simd = CurrentKernelBackend() == KernelBackend::kSimd;
   DispatchRowRange(pre.rows(), flops, [&](int lo, int hi) {
     if (simd) {
@@ -1547,9 +1438,7 @@ void MatMulTransposeBGateBlockedAddInto(const Matrix& g, const Matrix& w,
   CLFD_PROF_SCOPE("MatMulTBBlocked");
   obs::prof::AddFlops(flops);
   obs::prof::AddBytes(int64_t{4} * (g.size() + w.size() + acc->size()));
-  // The dot tile keeps its chains in scalar registers, so blocked and simd
-  // share the tiled body (like MatMulTransposeB).
-  const bool tiled = CurrentKernelBackend() != KernelBackend::kScalar;
+  const bool tiled = CurrentKernelBackend() == KernelBackend::kSimd;
   DispatchRowRange(g.rows(), flops, [&](int lo, int hi) {
     if (tiled) {
       MatMulTransposeBGateBlockedRowsTiled(g, w, acc, lo, hi);
@@ -1571,7 +1460,7 @@ void MatMulTransposeATimeBlockedAddInto(const Matrix& x, const Matrix& g,
   CLFD_PROF_SCOPE("MatMulTABlocked");
   obs::prof::AddFlops(flops);
   obs::prof::AddBytes(int64_t{4} * (x.size() + g.size() + acc->size()));
-  const bool tiled = CurrentKernelBackend() != KernelBackend::kScalar;
+  const bool tiled = CurrentKernelBackend() == KernelBackend::kSimd;
   DispatchRowRange(acc->rows(), flops, [&](int lo, int hi) {
     if (tiled) {
       MatMulTransposeATimeBlockedRowsTiled(x, g, block_rows, acc, lo, hi);

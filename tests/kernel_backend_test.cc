@@ -1,7 +1,7 @@
 // Scalar-oracle equivalence suite for the kernel backends
-// (src/tensor/kernel_backend.h). The repo invariant under test: the
-// blocked and simd backends are *bitwise* interchangeable with the scalar
-// bodies for every kernel, every shape — including tile-boundary
+// (src/tensor/kernel_backend.h). The repo invariant under test: the simd
+// backend is *bitwise* interchangeable with the scalar bodies for every
+// kernel, every shape — including tile-boundary
 // remainders, degenerate dims, signed zeros, denormals, and Inf inputs —
 // at every thread width. Each case computes the oracle result on the
 // scalar backend with kernels forced serial, then recomputes under every
@@ -14,6 +14,8 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <limits>
@@ -139,11 +141,34 @@ TEST(KernelBackendSelector, NamesParseRoundTrip) {
     EXPECT_TRUE(ParseKernelBackend(KernelBackendName(b), &parsed));
     EXPECT_EQ(parsed, b);
   }
-  KernelBackend parsed = KernelBackend::kBlocked;
+  KernelBackend parsed = KernelBackend::kSimd;
   EXPECT_FALSE(ParseKernelBackend("avx512", &parsed));
+  EXPECT_FALSE(ParseKernelBackend("blocked", &parsed));  // removed backend
   EXPECT_FALSE(ParseKernelBackend("", &parsed));
   EXPECT_FALSE(ParseKernelBackend("Scalar", &parsed));
-  EXPECT_EQ(parsed, KernelBackend::kBlocked);  // untouched on failure
+  EXPECT_EQ(parsed, KernelBackend::kSimd);  // untouched on failure
+}
+
+// An unrecognized CLFD_KERNEL_BACKEND is a typed error, not a silent
+// fallback to another backend. The selector resolves the variable once per
+// process, so each value is tried in a freshly started child.
+TEST(KernelBackendSelectorDeathTest, UnknownEnvValueIsTypedError) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  for (const char* bad : {"blocked", "avx512", ""}) {
+    EXPECT_EXIT(
+        {
+          setenv("CLFD_KERNEL_BACKEND", bad, 1);
+          try {
+            CurrentKernelBackend();
+          } catch (const KernelBackendError& e) {
+            std::fprintf(stderr, "%s\n", e.what());
+            std::exit(3);
+          }
+          std::exit(0);
+        },
+        ::testing::ExitedWithCode(3), "want scalar\\|simd")
+        << "CLFD_KERNEL_BACKEND='" << bad << "'";
+  }
 }
 
 TEST(KernelBackendSelector, ScopedOverrideRestores) {
@@ -152,8 +177,8 @@ TEST(KernelBackendSelector, ScopedOverrideRestores) {
     ScopedKernelBackend use(KernelBackend::kSimd);
     EXPECT_EQ(CurrentKernelBackend(), KernelBackend::kSimd);
     {
-      ScopedKernelBackend inner(KernelBackend::kBlocked);
-      EXPECT_EQ(CurrentKernelBackend(), KernelBackend::kBlocked);
+      ScopedKernelBackend inner(KernelBackend::kScalar);
+      EXPECT_EQ(CurrentKernelBackend(), KernelBackend::kScalar);
     }
     EXPECT_EQ(CurrentKernelBackend(), KernelBackend::kSimd);
   }
@@ -168,8 +193,8 @@ TEST(KernelBackendSelector, SelectionStampsReportAnnotation) {
     return "";
   };
   {
-    ScopedKernelBackend use(KernelBackend::kBlocked);
-    EXPECT_EQ(annotation(), "blocked");
+    ScopedKernelBackend use(KernelBackend::kScalar);
+    EXPECT_EQ(annotation(), "scalar");
   }
   EXPECT_EQ(annotation(), KernelBackendName(CurrentKernelBackend()));
 }
@@ -404,8 +429,8 @@ TEST(KernelBackendFuzz, ThousandRandomShapesBitwiseIdentical) {
       ew = Mul(Sigmoid(a), e);
       sm = SoftmaxRows(a);
     }
-    for (KernelBackend backend :
-         {KernelBackend::kBlocked, KernelBackend::kSimd}) {
+    {
+      const KernelBackend backend = KernelBackend::kSimd;
       ScopedKernelBackend use(backend);
       ASSERT_TRUE(BitwiseEqual(mm, MatMul(a, b)))
           << "MatMul " << m << "x" << k << "x" << n << " backend "

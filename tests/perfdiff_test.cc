@@ -214,8 +214,8 @@ TEST(PerfDiffGate, AddedAndRemovedMetricsListedNotGated) {
 }
 
 TEST(PerfDiffBackendSpeedups, PairsBackendsAgainstScalarWithinOneArtifact) {
-  // BM_MatMul at one shape under the three kernel backends, plus a
-  // backend-less benchmark that must be ignored.
+  // BM_MatMul at one shape under both kernel backends, an id no backend
+  // has, and a backend-less benchmark that must be ignored.
   std::vector<perfdiff::Metric> ms{
       {"BM_MatMul/n:256/backend:0 real_time", 8000.0, false},
       {"BM_MatMul/n:256/backend:1 real_time", 2000.0, false},
@@ -226,13 +226,13 @@ TEST(PerfDiffBackendSpeedups, PairsBackendsAgainstScalarWithinOneArtifact) {
   std::vector<perfdiff::SpeedupRow> rows = perfdiff::BackendSpeedups(ms);
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_EQ(rows[0].key, "BM_MatMul/n:256");
-  EXPECT_EQ(rows[0].backend, "blocked");
+  EXPECT_EQ(rows[0].backend, "simd");
   EXPECT_DOUBLE_EQ(rows[0].speedup, 4.0);
-  EXPECT_EQ(rows[1].backend, "simd");
+  EXPECT_EQ(rows[1].backend, "backend:2");
   EXPECT_DOUBLE_EQ(rows[1].speedup, 3.2);
   const std::string table = perfdiff::FormatBackendSpeedups(rows);
   EXPECT_NE(table.find("speedups vs scalar"), std::string::npos);
-  EXPECT_NE(table.find("blocked"), std::string::npos);
+  EXPECT_NE(table.find("simd"), std::string::npos);
   EXPECT_NE(table.find("4.00x"), std::string::npos);
 }
 

@@ -135,9 +135,46 @@ TEST(ProfFlops, LstmGatesMatchAnalyticCounts) {
   const ReportNode* fwd = root.Child("test.lstm")->Child("LstmGatesForward");
   ASSERT_NE(fwd, nullptr);
   EXPECT_EQ(fwd->flops, int64_t{12} * b * h);
+  // Three sigmoids and two tanhs per hidden unit.
+  EXPECT_EQ(fwd->special, int64_t{5} * b * h);
   const ReportNode* bwd = root.Child("test.lstm")->Child("LstmGatesBackward");
   ASSERT_NE(bwd, nullptr);
   EXPECT_EQ(bwd->flops, int64_t{20} * b * h);
+  EXPECT_EQ(bwd->special, 0);  // the backward pass reads saved activations
+}
+
+// Elementwise transcendentals get a kernel scope each and count one
+// special-function evaluation per element; softmax counts one exp per
+// element beside its nominal FLOPs.
+TEST(ProfFlops, SpecialFunctionEvaluationsMatchElementCounts) {
+  obs::prof::ScopedEnabled on(true);
+  obs::prof::Reset();
+  Rng rng(4);
+  Matrix a = Matrix::Randn(5, 7, 1.0f, &rng);
+  {
+    obs::prof::Scope s("test.special");
+    Exp(a);
+    Sigmoid(a);
+    Sigmoid(a);
+    Matrix t;
+    TanhInto(a, &t);
+    SoftmaxRows(a);
+  }
+  ReportNode root = obs::prof::Snapshot();
+  const ReportNode* scope = root.Child("test.special");
+  ASSERT_NE(scope, nullptr);
+  EXPECT_EQ(scope->special, 0);  // attributed to the kernels, not the caller
+  const int64_t n = a.size();
+  for (const auto& [name, calls] :
+       {std::pair<const char*, int64_t>{"Exp", 1}, {"Sigmoid", 2},
+        {"Tanh", 1}, {"Softmax", 1}}) {
+    const ReportNode* k = scope->Child(name);
+    ASSERT_NE(k, nullptr) << name;
+    EXPECT_EQ(k->count, calls) << name;
+    EXPECT_EQ(k->special, calls * n) << name;
+  }
+  EXPECT_EQ(scope->Child("Exp")->flops, 0);
+  EXPECT_EQ(scope->Child("Softmax")->flops, 4 * n);
 }
 
 // The same forced-parallel workload, run at a given pool width; returns the
@@ -290,18 +327,23 @@ TEST(ProfContext, ZeroChunkWorkersQuiesceBeforeSnapshotReset) {
 }
 
 TEST(ProfRender, CollapsedStacksAndRooflineRender) {
-  ReportNode root{"root", 0, 0, 0, 0, {}};
-  ReportNode phase{"phase", 5'000'000, 1, 0, 0, {}};
+  ReportNode root{"root", 0, 0, 0, 0, 0, {}};
+  ReportNode phase{"phase", 5'000'000, 1, 0, 0, 0, {}};
   phase.children.push_back(ReportNode{"MatMul", 4'000'000, 10, 8'000'000,
-                                      2'000'000, {}});
+                                      2'000'000, 0, {}});
+  // A transcendental-bound kernel with no FLOPs at all still gets a row:
+  // 3M special-function evaluations over 0.5 ms is 6 Gspec/s.
+  phase.children.push_back(
+      ReportNode{"Exp", 500'000, 2, 0, 1'000'000, 3'000'000, {}});
   root.children.push_back(phase);
   root.ns = phase.ns;
 
   const std::string collapsed = obs::prof::ToCollapsed(root);
-  // Inclusive minus children: 1 ms of self time for the phase, 4 ms for
-  // the kernel, in flamegraph "path weight" form.
-  EXPECT_NE(collapsed.find("phase 1000\n"), std::string::npos);
+  // Inclusive minus children: 0.5 ms of self time for the phase, 4 ms for
+  // the MatMul kernel, in flamegraph "path weight" form.
+  EXPECT_NE(collapsed.find("phase 500\n"), std::string::npos);
   EXPECT_NE(collapsed.find("phase;MatMul 4000\n"), std::string::npos);
+  EXPECT_NE(collapsed.find("phase;Exp 500\n"), std::string::npos);
 
   const std::string roofline = obs::prof::RooflineReport(root, 10.0);
   EXPECT_NE(roofline.find("MatMul"), std::string::npos);
@@ -309,8 +351,12 @@ TEST(ProfRender, CollapsedStacksAndRooflineRender) {
   // 8 MFLOP over 4 ms = 2 GFLOP/s; at a 10 GFLOP/s peak that is 20%.
   EXPECT_NE(roofline.find("2.00"), std::string::npos);
   EXPECT_NE(roofline.find("20.0%"), std::string::npos);
+  EXPECT_NE(roofline.find("Gspec/s"), std::string::npos);
+  const size_t exp_row = roofline.find("  Exp ");
+  ASSERT_NE(exp_row, std::string::npos);
+  EXPECT_NE(roofline.find("6.000", exp_row), std::string::npos);
 
-  EXPECT_DOUBLE_EQ(obs::prof::AttributedFraction(phase), 0.8);
+  EXPECT_DOUBLE_EQ(obs::prof::AttributedFraction(phase), 0.9);
 }
 
 // Acceptance: on an end-to-end corrector experiment, at least 95% of the

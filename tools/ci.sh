@@ -22,10 +22,13 @@
 # wall-clock per phase (forward, forward+backward, optimizer, corrector
 # end-to-end), and the execution-plan rows (corrector E2E with plans on
 # vs off plus the BM_PlanCapture/BM_PlanReplay pair with its capture/
-# replay counters). Before the fresh numbers replace the committed baseline,
-# tools/perfdiff/perf_diff runs as a gate: any benchmark that regressed
-# past the threshold (default +50%, override with
-# CLFD_PERF_GATE_THRESHOLD) fails the run with a ranked delta table. The
+# replay counters). tools/perfdiff/perf_diff gates the fresh numbers
+# against the committed baseline: any benchmark that regressed past the
+# threshold (default +50%, override with CLFD_PERF_GATE_THRESHOLD) fails
+# the run with a ranked delta table. The fresh results go to
+# build/BENCH_current.json and never overwrite the committed
+# BENCH_substrate.json: refreshing the baseline is a deliberate, reviewed
+# step (see "Refreshing the micro-bench baseline" in README.md). The
 # arena itself is exercised under ASan/UBSan/TSan by the ctest suite of
 # those presets (arena_test plus every eval test runs with CLFD_ARENA on
 # by default).
@@ -58,21 +61,19 @@ for preset in "${presets[@]}"; do
   cmake --build --preset "${preset}" -j "${jobs}"
   echo "==== [${preset}] test"
   ctest --preset "${preset}" -j "${jobs}"
-  # Kernel-backend dimension: the equivalence suite sweeps every backend
+  # Kernel-backend dimension: the equivalence suite sweeps both backends
   # internally, but the ambient default (CLFD_KERNEL_BACKEND) decides which
-  # bodies the rest of the pipeline executes — so rerun the scalar-oracle
-  # suite and the end-to-end invariance test with each non-scalar backend
-  # as the process default. Under asan/ubsan/tsan this is what puts the
-  # blocked/simd tile loops in front of the sanitizers.
+  # bodies the rest of the pipeline executes — the ctest run above covers
+  # the default (simd), so rerun the scalar-oracle suite and the end-to-end
+  # invariance test with the one non-default value, scalar, as the process
+  # default. Under asan/ubsan/tsan this is what puts the oracle bodies in
+  # front of the sanitizers on every path.
   build_dir="build"
   [[ "${preset}" != "default" ]] && build_dir="build-${preset}"
-  for backend in blocked simd; do
-    echo "==== [${preset}] kernel backend dimension: ${backend}"
-    CLFD_KERNEL_BACKEND="${backend}" \
-        "./${build_dir}/tests/kernel_backend_test"
-    CLFD_KERNEL_BACKEND="${backend}" "./${build_dir}/tests/eval_test" \
-        --gtest_filter='BackendInvarianceTest.*'
-  done
+  echo "==== [${preset}] kernel backend dimension: scalar"
+  CLFD_KERNEL_BACKEND=scalar "./${build_dir}/tests/kernel_backend_test"
+  CLFD_KERNEL_BACKEND=scalar "./${build_dir}/tests/eval_test" \
+      --gtest_filter='BackendInvarianceTest.*'
   # Execution-plan dimension: the ctest run already covers the ambient
   # default (plans on), so rerun the plan suite and the full-pipeline
   # invariance test with each CLFD_PLAN value pinned. Under asan/ubsan/
@@ -105,15 +106,14 @@ done
 for preset in "${presets[@]}"; do
   if [[ "${preset}" == "default" ]]; then
     echo "==== [default] substrate micro-bench (smoke)"
-    bench_out="$(mktemp "${TMPDIR:-/tmp}/clfd_bench.XXXXXX.json")"
     ./build/bench/bench_micro_substrate \
         --benchmark_min_time=0.05 \
-        --benchmark_out="${bench_out}" \
+        --benchmark_out=build/BENCH_current.json \
         --benchmark_out_format=json
     echo "==== [default] perf_diff gate vs committed BENCH_substrate.json"
     ./build/tools/perfdiff/perf_diff --gate \
-        BENCH_substrate.json "${bench_out}"
-    mv "${bench_out}" BENCH_substrate.json
+        BENCH_substrate.json build/BENCH_current.json
+    echo "==== [default] fresh results: build/BENCH_current.json"
   fi
 done
 

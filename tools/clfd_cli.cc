@@ -21,9 +21,10 @@
 //   --log-level=LVL     debug|info|warn|error|off (default: CLFD_LOG_LEVEL)
 //   --threads=N         parallel width (default: CLFD_THREADS env, else all
 //                       hardware threads); results are identical for any N
-//   --kernel-backend=B  scalar|blocked|simd kernel bodies (default:
-//                       CLFD_KERNEL_BACKEND env, else scalar); every
-//                       backend is bitwise-identical, only speed differs
+//   --kernel-backend=B  scalar|simd kernel bodies (default:
+//                       CLFD_KERNEL_BACKEND env, else simd); both
+//                       backends are bitwise-identical, only speed differs;
+//                       an unknown name in the flag or the env exits 2
 //   --no-plan           disable static execution plans and rebuild the
 //                       autograd tape every step (default: CLFD_PLAN env,
 //                       else plans on); bitwise-identical results
@@ -128,9 +129,9 @@ int Usage() {
       "execution (any subcommand):\n"
       "  --threads=N   thread-pool width (default CLFD_THREADS or all\n"
       "                cores; never changes results, only speed)\n"
-      "  --kernel-backend=scalar|blocked|simd\n"
+      "  --kernel-backend=scalar|simd\n"
       "                kernel implementation (default CLFD_KERNEL_BACKEND\n"
-      "                or scalar; bitwise-identical results, only speed)\n"
+      "                or simd; bitwise-identical results, only speed)\n"
       "  --no-plan     rebuild the autograd tape every step instead of\n"
       "                replaying captured execution plans (default\n"
       "                CLFD_PLAN or on; bitwise-identical results)\n"
@@ -373,12 +374,20 @@ int Main(int argc, char** argv) {
   if (!backend_name.empty()) {
     KernelBackend backend;
     if (!ParseKernelBackend(backend_name, &backend)) {
-      std::fprintf(stderr,
-                   "bad --kernel-backend '%s' (want scalar|blocked|simd)\n",
+      std::fprintf(stderr, "bad --kernel-backend '%s' (want scalar|simd)\n",
                    backend_name.c_str());
       return 2;
     }
     SetKernelBackend(backend);
+  } else {
+    // Resolve CLFD_KERNEL_BACKEND now, so a bad value is a usage error
+    // rather than an exception out of the first kernel call.
+    try {
+      CurrentKernelBackend();
+    } catch (const KernelBackendError& e) {
+      std::fprintf(stderr, "%s\n", e.what());
+      return 2;
+    }
   }
 
   // Execution plans default on (CLFD_PLAN env); --no-plan forces the

@@ -162,8 +162,7 @@ std::vector<SpeedupRow> BackendSpeedups(const std::vector<Metric>& metrics) {
   auto backend_name = [](int idx) -> std::string {
     switch (idx) {
       case 0: return "scalar";
-      case 1: return "blocked";
-      case 2: return "simd";
+      case 1: return "simd";
       default: return "backend:" + std::to_string(idx);
     }
   };

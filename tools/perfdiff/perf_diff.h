@@ -73,14 +73,14 @@ std::string FormatTable(const DiffResult& result,
 // benchmark run under the scalar kernel backend and one alternative.
 struct SpeedupRow {
   std::string key;      // benchmark name with the backend arg elided
-  std::string backend;  // "blocked", "simd", or "backend:N" if unknown
+  std::string backend;  // "simd", or "backend:N" if unknown
   double scalar_time = 0.0;   // ns
   double variant_time = 0.0;  // ns
   double speedup = 0.0;       // scalar_time / variant_time
 };
 
 // Pairs the "<bench>/backend:0 real_time" metrics with the matching
-// backend:1/backend:2 rows of the same artifact (the backend arg the
+// backend:1 rows of the same artifact (the backend arg the
 // matmul-family benchmarks in bench_micro_substrate.cc carry) and reports
 // the wall-clock speedup each non-scalar backend achieves over scalar.
 // Informational only — the regression gate is Diff() against the baseline;
