@@ -84,10 +84,20 @@ Matrix SessionEncoder::EncodeDataset(const SessionDataset& dataset,
   // values but never touch gradients, and each chunk writes its own rows.
   parallel::ParallelFor(0, dataset.size(), chunk, [&](int64_t lo,
                                                       int64_t hi) {
-    // Per-chunk bump arena for the forward tape; `out` was allocated
-    // before the loop so it stays heap-backed. The encoded rows are
-    // copied out before the arena dies with the chunk.
-    arena::Arena chunk_arena;
+    // Bump arena for the forward tape, one per thread and kept across
+    // chunks and calls, so steady-state encoding allocates nothing: a tape
+    // allocated per call leaves it to the heap state whether its blocks
+    // are reused or mapped and page-faulted anew, and that varies from one
+    // process to the next (DESIGN.md §9). `out` was allocated before the
+    // loop so it stays heap-backed, and the encoded rows are copied out
+    // before this thread's next chunk resets the arena. No chunk body
+    // encodes a nested dataset, so the arena is never reset under a live
+    // tape. The arena decides where values live, never what they are
+    // (arena on/off equality is locked by test), so this per-thread state
+    // cannot make results depend on call interleaving.
+    // clfd-lint: allow(concurrency-mutable-global) clfd-analyze: allow(semantic-mutable-global)
+    thread_local arena::Arena chunk_arena;
+    chunk_arena.Reset();
     arena::ScopedArena scope(&chunk_arena);
     int start = static_cast<int>(lo), end = static_cast<int>(hi);
     std::vector<const Session*> batch;

@@ -35,9 +35,12 @@ class SessionEncoder : public nn::Module {
   // `chunk` and returns the [N x hidden] value matrix (no graph retained).
   // Chunks run in parallel on the global pool; chunk boundaries depend only
   // on `chunk`, and chunks write disjoint output rows, so the result is
-  // identical at any thread count.
+  // identical at any thread count. A chunk's whole forward tape lives in
+  // its thread's arena until the chunk ends, and each thread keeps that
+  // arena for its largest chunk so far, so `chunk` bounds the memory every
+  // pool thread retains (about 11 MB at 32 CERT sessions, 50/50 dims).
   Matrix EncodeDataset(const SessionDataset& dataset, const Matrix& embeddings,
-                       int chunk = 128) const;
+                       int chunk = 32) const;
 
   std::vector<ag::Var> Parameters() const override;
 

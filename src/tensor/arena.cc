@@ -53,7 +53,8 @@ float* Arena::Allocate(size_t count) {
   }
   size_t cap = std::max(next_capacity_, need);
   next_capacity_ = std::min(cap * 2, kMaxChunkFloats);
-  chunks_.push_back(Chunk{std::make_unique<float[]>(cap), cap, need});
+  chunks_.push_back(
+      Chunk{std::make_unique_for_overwrite<float[]>(cap), cap, need});
   active_ = chunks_.size() - 1;
   return chunks_.back().data.get();
 }

@@ -59,6 +59,27 @@ TEST(SessionEncoderTest, EncodeDatasetMatchesBatch) {
   EXPECT_LT(MaxAbsDiff(solo, SliceRows(all, 3, 4)), 1e-5f);
 }
 
+TEST(SessionEncoderTest, EncodeDatasetBitwiseAcrossChunksAndCalls) {
+  // Neither the chunk size nor the per-thread arena EncodeDataset keeps
+  // between calls may change a value: a larger chunk grows that arena,
+  // and the repeated default-chunk call then runs on the grown arena.
+  Rng rng(5);
+  SimulatedData data =
+      MakeCertDataset(PaperSplit(DatasetKind::kCert).Scaled(0.003), &rng);
+  Matrix emb = Matrix::Randn(data.train.vocab_size(), 5, 1.0f, &rng);
+  SessionEncoder enc(5, 6, 2, &rng);
+  Matrix base = enc.EncodeDataset(data.train, emb);
+  for (int chunk : {7, 128, 0}) {
+    Matrix m = chunk > 0 ? enc.EncodeDataset(data.train, emb, chunk)
+                         : enc.EncodeDataset(data.train, emb);
+    ASSERT_EQ(m.size(), base.size());
+    for (int i = 0; i < m.size(); ++i) {
+      ASSERT_EQ(m.data()[i], base.data()[i])
+          << "chunk " << chunk << " at " << i;
+    }
+  }
+}
+
 TEST(SessionEncoderTest, GradCheckThroughMaskedMean) {
   Rng rng(4);
   Matrix emb = Matrix::Randn(8, 3, 1.0f, &rng);
