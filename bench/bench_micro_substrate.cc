@@ -8,6 +8,8 @@
 #include "autograd/var.h"
 #include "common/rng.h"
 #include "core/label_corrector.h"
+#include "data/simulators.h"
+#include "encoders/session_encoder.h"
 #include "eval/experiment.h"
 #include "losses/contrastive.h"
 #include "losses/robust_losses.h"
@@ -17,6 +19,7 @@
 #include "obs/metrics.h"
 #include "obs/prof.h"
 #include "obs/trace.h"
+#include "parallel/thread_pool.h"
 #include "plan/plan.h"
 #include "tensor/arena.h"
 #include "tensor/kernel_backend.h"
@@ -161,6 +164,29 @@ void BM_LstmForwardBackward(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LstmForwardBackward)->Arg(10)->Arg(20);
+
+// Inference encoding of 256 CERT sessions at the paper's dimensions
+// (embedding/hidden 50, two layers) through SessionEncoder::EncodeDataset:
+// the whole cost of scoring with a trained model. The arg is the pool
+// width.
+void BM_EncodeDataset(benchmark::State& state) {
+  parallel::SetGlobalThreads(static_cast<int>(state.range(0)));
+  Rng rng(3);
+  SessionDataset data = MakeCertDataset(SplitSpec{256, 8, 8, 2}, &rng).train;
+  data.sessions.resize(256);
+  Matrix emb = Matrix::Randn(data.vocab_size(), 50, 1.0f, &rng);
+  SessionEncoder encoder(50, 50, 2, &rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(encoder.EncodeDataset(data, emb));
+  }
+  state.SetItemsProcessed(state.iterations() * data.size());
+  parallel::SetGlobalThreads(0);
+}
+BENCHMARK(BM_EncodeDataset)
+    ->ArgName("width")
+    ->Arg(1)
+    ->Arg(2)
+    ->Unit(benchmark::kMicrosecond);
 
 // One optimizer step over the paper-scale LSTM parameter set (~45k
 // floats). After the ZeroGrads/Adam hoisting work the loop body is

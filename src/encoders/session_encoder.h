@@ -26,19 +26,29 @@ class SessionEncoder : public nn::Module {
  public:
   SessionEncoder(int emb_dim, int hidden_dim, int num_layers, Rng* rng);
 
-  // Encodes a batch of sessions into [B x hidden]. `embeddings` is the
-  // [vocab x emb_dim] activity embedding table.
+  // Encodes a batch of sessions into [B x hidden] on the autograd tape.
+  // `embeddings` is the [vocab x emb_dim] activity embedding table. Throws
+  // std::out_of_range when an activity id is not a row of `embeddings`, and
+  // std::invalid_argument when every session of the batch is empty (the
+  // unroll would have no step; EncodeDataset encodes such sessions).
   ag::Var EncodeBatch(const std::vector<const Session*>& sessions,
                       const Matrix& embeddings) const;
 
-  // Inference helper: encodes every session of `dataset` in chunks of
-  // `chunk` and returns the [N x hidden] value matrix (no graph retained).
-  // Chunks run in parallel on the global pool; chunk boundaries depend only
-  // on `chunk`, and chunks write disjoint output rows, so the result is
-  // identical at any thread count. A chunk's whole forward tape lives in
-  // its thread's arena until the chunk ends, and each thread keeps that
-  // arena for its largest chunk so far, so `chunk` bounds the memory every
-  // pool thread retains (about 11 MB at 32 CERT sessions, 50/50 dims).
+  // Inference: encodes every session of `dataset` and returns the
+  // [N x hidden] values, bitwise equal to the rows of EncodeBatch(...)
+  // .value() but without the tape (Lstm::ForwardValues). Sessions run
+  // sorted by length, longest first (ties in input order), in chunks of
+  // `chunk` cut from that order on the global pool; each chunk writes its
+  // rows back to their input positions. A row's bits depend on neither
+  // its chunk nor the chunk's padded length, so the result is identical at
+  // any chunk size and thread count. Per call, the gate weights are packed
+  // once and layer 0's input projection is tabulated once per activity
+  // (E·Wx0, [vocab x 4H]), so a chunk gathers table rows instead of
+  // projecting embeddings. A chunk's buffers live in its thread's arena,
+  // which each thread keeps for its largest chunk so far (about 1.1 MB of
+  // buffers for 32 CERT sessions of up to 31 steps at 50/50 dims). An
+  // empty session encodes to the skip bias b_skip. Throws
+  // std::out_of_range like EncodeBatch.
   Matrix EncodeDataset(const SessionDataset& dataset, const Matrix& embeddings,
                        int chunk = 32) const;
 
@@ -49,6 +59,13 @@ class SessionEncoder : public nn::Module {
   int num_layers() const { return lstm_.num_layers(); }
 
  private:
+  // EncodeDataset's value path for one chunk, given the packed weights
+  // and layer 0's input-projection table.
+  Matrix EncodeChunkValues(const std::vector<const Session*>& batch,
+                           const Matrix& embeddings, const Matrix& xproj_table,
+                           const std::vector<nn::PackedGateValues>& packed)
+      const;
+
   nn::Lstm lstm_;
   nn::Linear input_skip_;  // mean input embedding -> hidden residual
 };

@@ -19,6 +19,8 @@ class Linear : public Module {
 
   std::vector<ag::Var> Parameters() const override { return {weight_, bias_}; }
 
+  const ag::Var& weight() const { return weight_; }
+  const ag::Var& bias() const { return bias_; }
   int in_dim() const { return weight_.rows(); }
   int out_dim() const { return weight_.cols(); }
 

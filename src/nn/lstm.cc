@@ -1,6 +1,7 @@
 #include "nn/lstm.h"
 
 #include <atomic>
+#include <cstring>
 
 #include "common/env.h"
 
@@ -64,6 +65,17 @@ LstmCell::Packed LstmCell::Pack() const {
   return {ag::ConcatCols({wx_[0], wx_[1], wx_[2], wx_[3]}),
           ag::ConcatCols({wh_[0], wh_[1], wh_[2], wh_[3]}),
           ag::ConcatCols({b_[0], b_[1], b_[2], b_[3]})};
+}
+
+PackedGateValues LstmCell::PackValues() const {
+  const auto concat = [](const ag::Var (&gates)[4]) {
+    const Matrix* blocks[4] = {&gates[0].value(), &gates[1].value(),
+                               &gates[2].value(), &gates[3].value()};
+    Matrix out;
+    ConcatColsInto(blocks, 4, &out);
+    return out;
+  };
+  return {concat(wx_), concat(wh_), concat(b_)};
 }
 
 std::vector<ag::Var> LstmCell::Parameters() const {
@@ -145,6 +157,46 @@ std::vector<ag::Var> Lstm::Forward(const std::vector<ag::Var>& steps) const {
     current = std::move(next);
   }
   return current;
+}
+
+std::vector<PackedGateValues> Lstm::PackValues() const {
+  std::vector<PackedGateValues> w;
+  w.reserve(layers_.size());
+  for (const LstmCell& layer : layers_) w.push_back(layer.PackValues());
+  return w;
+}
+
+Matrix Lstm::ForwardValues(const std::vector<PackedGateValues>& w,
+                           Matrix xproj, int batch) {
+  const int rows = xproj.rows();
+  const int steps = batch > 0 ? rows / batch : 0;
+  Matrix hs, h, hwh, pre, acts;
+  Matrix hc[2];
+  for (size_t l = 0; l < w.size(); ++l) {
+    const PackedGateValues& lw = w[l];
+    const int h_dim = lw.wh.rows();
+    if (l > 0) MatMulInto(hs, lw.wx, &xproj);
+    EnsureShape(&hs, rows, h_dim, /*zeroed=*/false);
+    EnsureShape(&h, batch, h_dim, /*zeroed=*/true);
+    EnsureShape(&hc[0], batch, 2 * h_dim, /*zeroed=*/true);
+    EnsureShape(&pre, batch, 4 * h_dim, /*zeroed=*/false);
+    for (int t = 0; t < steps; ++t) {
+      MatMulInto(h, lw.wh, &hwh);
+      // pre = (xproj_t + h·Wh) + b, rounded in the tape's order: the Add
+      // node, then the AddRowBroadcast node.
+      for (int i = 0; i < batch; ++i) {
+        const float* x = xproj.row(t * batch + i);
+        const float* r = hwh.row(i);
+        float* p = pre.row(i);
+        for (int j = 0; j < 4 * h_dim; ++j) p[j] = (x[j] + r[j]) + lw.b[j];
+      }
+      LstmGatesForward(pre, hc[t & 1], &hc[(t + 1) & 1], &acts);
+      SliceColsInto(hc[(t + 1) & 1], 0, h_dim, &h);
+      std::memcpy(hs.row(t * batch), h.data(),
+                  static_cast<size_t>(h.size()) * sizeof(float));
+    }
+  }
+  return hs;
 }
 
 std::vector<ag::Var> Lstm::Parameters() const {

@@ -41,6 +41,14 @@ class ScopedLstmFused {
   bool saved_;
 };
 
+// The values of LstmCell::Packed as plain matrices, for the value-only
+// forward (Lstm::ForwardValues).
+struct PackedGateValues {
+  Matrix wx;  // [in x 4H]
+  Matrix wh;  // [H x 4H]
+  Matrix b;   // [1 x 4H]
+};
+
 // A single LSTM layer with per-gate weight matrices.
 //
 // Gates (i, f, g, o) each have input weights Wx [in x h], recurrent weights
@@ -75,6 +83,8 @@ class LstmCell : public Module {
     ag::Var b;
   };
   Packed Pack() const;
+  // Pack's values, concatenated without building autograd nodes.
+  PackedGateValues PackValues() const;
 
   std::vector<ag::Var> Parameters() const override;
 
@@ -101,6 +111,22 @@ class Lstm : public Module {
   // steps: time-major inputs, each [B x in]. Returns the final layer's
   // hidden state at each timestep, each [B x hidden].
   std::vector<ag::Var> Forward(const std::vector<ag::Var>& steps) const;
+
+  // Every layer's LstmCell::PackValues, for ForwardValues. Build once and
+  // share read-only across calls and threads.
+  std::vector<PackedGateValues> PackValues() const;
+
+  // Value-only forward for inference: no ag::Var node, no closure, and
+  // bitwise the values Forward computes. `xproj` [T*B x 4H] is layer 0's
+  // input projection x_t·Wx0, time-major in B-row blocks; a padded row
+  // projects to +0.0, as the tape's zero input row does. Returns the final
+  // layer's hidden states in the same layout, [T*B x H] (empty for
+  // T == 0). Each later layer projects its inputs with one [T*B x 4H]
+  // matmul, which gives each row the bits of the tape's per-step matmul
+  // because matmul rows are independent. Buffers come from the current
+  // storage context, so a caller's arena recycles them.
+  static Matrix ForwardValues(const std::vector<PackedGateValues>& w,
+                              Matrix xproj, int batch);
 
   std::vector<ag::Var> Parameters() const override;
 

@@ -1068,6 +1068,32 @@ void LstmGatesForwardRows(const Matrix& pre, const Matrix& hc_prev, Matrix* hc,
   }
 }
 
+// One hidden unit of the gate backward: the contributions to d(loss)/d(pre)
+// per gate and to d(loss)/d(c_{t-1}). Shared by the scalar and simd row
+// bodies like LstmGateUnit.
+struct LstmUnitGrad {
+  float di, df, dg, d_o, dc_prev;
+};
+
+inline LstmUnitGrad LstmGateUnitBackward(float dh, float dc_ext, float iv,
+                                         float fv, float gv, float ov,
+                                         float tc, float c_prev) {
+  // dh = d loss / d h_t; dc_ext = d loss / d c_t from step t+1 (0 at T-1).
+  LstmUnitGrad d;
+  float dov = dh * tc;                         // Mul backward, o side
+  float dtc = dh * ov;                         // Mul backward, tanh side
+  float dc = dc_ext + dtc * (1.0f - tc * tc);  // Tanh backward into c
+  float div_ = dc * gv;                        // Mul(i, g) backward, i
+  float dgv = dc * iv;                         // Mul(i, g) backward, g
+  float dfv = dc * c_prev;                     // Mul(f, c_prev) backward, f
+  d.dc_prev = dc * fv;                         // ... and the c_prev side
+  d.di = div_ * iv * (1.0f - iv);              // Sigmoid backward (i)
+  d.df = dfv * fv * (1.0f - fv);               // Sigmoid backward (f)
+  d.dg = dgv * (1.0f - gv * gv);               // Tanh backward (g)
+  d.d_o = dov * ov * (1.0f - ov);              // Sigmoid backward (o)
+  return d;
+}
+
 void LstmGatesBackwardRows(const Matrix& gout, const Matrix& acts,
                            const Matrix& hc_prev, Matrix* dpre,
                            Matrix* dhc_prev, int r0, int r1) {
@@ -1079,21 +1105,14 @@ void LstmGatesBackwardRows(const Matrix& gout, const Matrix& acts,
     float* dp = dpre->row(r);
     float* dhp = dhc_prev != nullptr ? dhc_prev->row(r) : nullptr;
     for (int j = 0; j < h; ++j) {
-      float iv = act[j], fv = act[h + j], gv = act[2 * h + j];
-      float ov = act[3 * h + j], tc = act[4 * h + j];
-      float dh = g[j];           // d loss / d h_t
-      float dc_ext = g[h + j];   // d loss / d c_t from step t+1 (0 at t=T-1)
-      float dov = dh * tc;                       // Mul backward, o side
-      float dtc = dh * ov;                       // Mul backward, tanh side
-      float dc = dc_ext + dtc * (1.0f - tc * tc);  // Tanh backward into c
-      float div_ = dc * gv;                      // Mul(i, g) backward, i
-      float dgv = dc * iv;                       // Mul(i, g) backward, g
-      float dfv = dc * hcp[h + j];               // Mul(f, c_prev) backward, f
-      if (dhp != nullptr) dhp[h + j] += dc * fv;  // ... and the c_prev side
-      dp[j] += div_ * iv * (1.0f - iv);          // Sigmoid backward (i)
-      dp[h + j] += dfv * fv * (1.0f - fv);       // Sigmoid backward (f)
-      dp[2 * h + j] += dgv * (1.0f - gv * gv);   // Tanh backward (g)
-      dp[3 * h + j] += dov * ov * (1.0f - ov);   // Sigmoid backward (o)
+      const LstmUnitGrad d = LstmGateUnitBackward(
+          g[j], g[h + j], act[j], act[h + j], act[2 * h + j], act[3 * h + j],
+          act[4 * h + j], hcp[h + j]);
+      if (dhp != nullptr) dhp[h + j] += d.dc_prev;
+      dp[j] += d.di;
+      dp[h + j] += d.df;
+      dp[2 * h + j] += d.dg;
+      dp[3 * h + j] += d.d_o;
     }
   }
 }
@@ -1186,32 +1205,51 @@ void LstmGatesForwardRowsSimd(const Matrix& pre, const Matrix& hc_prev,
   }
 }
 
+// One row of the gate backward in the forward body's shape: one
+// __restrict parameter per h-wide block, kLanes units at a time, and the
+// d(c_{t-1}) branch hoisted into the template argument so the lane loop
+// has no control flow.
+template <bool kCPrevGrad>
+[[gnu::flatten]] void LstmGatesBackwardRowSimd(
+    const float* __restrict dh, const float* __restrict dc_ext,
+    const float* __restrict ai, const float* __restrict af,
+    const float* __restrict ag, const float* __restrict ao,
+    const float* __restrict atc, const float* __restrict c_prev,
+    float* __restrict dpi, float* __restrict dpf, float* __restrict dpg,
+    float* __restrict dpo, float* __restrict dc_prev, int h) {
+  const auto unit = [&](int k) {
+    const LstmUnitGrad d = LstmGateUnitBackward(
+        dh[k], dc_ext[k], ai[k], af[k], ag[k], ao[k], atc[k], c_prev[k]);
+    if constexpr (kCPrevGrad) dc_prev[k] += d.dc_prev;
+    dpi[k] += d.di;
+    dpf[k] += d.df;
+    dpg[k] += d.dg;
+    dpo[k] += d.d_o;
+  };
+  int j = 0;
+  for (; j + kLanes <= h; j += kLanes) {
+    for (int t = 0; t < kLanes; ++t) unit(j + t);
+  }
+  for (; j < h; ++j) unit(j);
+}
+
 void LstmGatesBackwardRowsSimd(const Matrix& gout, const Matrix& acts,
                                const Matrix& hc_prev, Matrix* dpre,
                                Matrix* dhc_prev, int r0, int r1) {
   const int h = dpre->cols() / 4;
   for (int r = r0; r < r1; ++r) {
-    const float* __restrict g = gout.row(r);
-    const float* __restrict act = acts.row(r);
-    const float* __restrict hcp = hc_prev.row(r);
-    float* __restrict dp = dpre->row(r);
-    float* __restrict dhp = dhc_prev != nullptr ? dhc_prev->row(r) : nullptr;
-    for (int j = 0; j < h; ++j) {
-      float iv = act[j], fv = act[h + j], gv = act[2 * h + j];
-      float ov = act[3 * h + j], tc = act[4 * h + j];
-      float dh = g[j];
-      float dc_ext = g[h + j];
-      float dov = dh * tc;
-      float dtc = dh * ov;
-      float dc = dc_ext + dtc * (1.0f - tc * tc);
-      float div_ = dc * gv;
-      float dgv = dc * iv;
-      float dfv = dc * hcp[h + j];
-      if (dhp != nullptr) dhp[h + j] += dc * fv;
-      dp[j] += div_ * iv * (1.0f - iv);
-      dp[h + j] += dfv * fv * (1.0f - fv);
-      dp[2 * h + j] += dgv * (1.0f - gv * gv);
-      dp[3 * h + j] += dov * ov * (1.0f - ov);
+    const float* g = gout.row(r);
+    const float* act = acts.row(r);
+    const float* c_prev = hc_prev.row(r) + h;
+    float* dp = dpre->row(r);
+    if (dhc_prev != nullptr) {
+      LstmGatesBackwardRowSimd<true>(
+          g, g + h, act, act + h, act + 2 * h, act + 3 * h, act + 4 * h,
+          c_prev, dp, dp + h, dp + 2 * h, dp + 3 * h, dhc_prev->row(r) + h, h);
+    } else {
+      LstmGatesBackwardRowSimd<false>(
+          g, g + h, act, act + h, act + 2 * h, act + 3 * h, act + 4 * h,
+          c_prev, dp, dp + h, dp + 2 * h, dp + 3 * h, nullptr, h);
     }
   }
 }

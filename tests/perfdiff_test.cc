@@ -71,6 +71,23 @@ TEST(JsonParser, ReportsErrorsWithPosition) {
   EXPECT_NE(error.find("too deep"), std::string::npos);
 }
 
+TEST(PerfDiffExtract, NonFiniteTokensBecomeNull) {
+  // google-benchmark's repeated runs write NaN for the cv of a zero
+  // counter; such a file must still parse and yield its iteration rows.
+  const std::string text =
+      "{\"benchmarks\":[{\"name\":\"BM_X NaN\",\"run_type\":\"iteration\","
+      "\"real_time\":5,\"time_unit\":\"ns\",\"a\":NaN,\"b\":-Infinity,"
+      "\"c\":[Infinity]}]}";
+  EXPECT_EQ(perfdiff::NullNonFiniteTokens(text),
+            "{\"benchmarks\":[{\"name\":\"BM_X NaN\",\"run_type\":"
+            "\"iteration\",\"real_time\":5,\"time_unit\":\"ns\",\"a\":null,"
+            "\"b\":null,\"c\":[null]}]}");
+  std::vector<perfdiff::Metric> ms = perfdiff::ExtractMetrics(
+      MustParse(perfdiff::NullNonFiniteTokens(text)));
+  ASSERT_EQ(ms.size(), 1u);
+  EXPECT_EQ(ms[0].key, "BM_X NaN real_time");
+}
+
 TEST(PerfDiffExtract, BenchmarkRowsNormalizedAggregatesSkipped) {
   std::vector<perfdiff::Metric> ms =
       perfdiff::ExtractMetrics(MustParse(BenchDoc(1.0)));

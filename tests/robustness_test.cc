@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "baselines/registry.h"
 #include "core/clfd.h"
@@ -97,6 +98,35 @@ TEST(RobustnessTest, EmptyTestSet) {
   empty.vocab = train.vocab;
   EXPECT_TRUE(model.Score(empty).empty());
   EXPECT_TRUE(model.Predict(empty).empty());
+}
+
+TEST(RobustnessTest, EmptyTestSessionsScoreFinite) {
+  // Empty sessions (which the dataset format accepts) score like any
+  // other, whether they share a chunk with non-empty ones or not.
+  Rng rng(6);
+  SessionDataset train = MakeTinyDataset(20, 4, 5, 2, 5, &rng);
+  SessionDataset test = MakeTinyDataset(6, 2, 5, 2, 5, &rng);
+  for (int i = 0; i < 3; ++i) test.sessions.push_back(LabeledSession());
+  test.sessions[2].session.activities.clear();
+  Matrix emb = TrainActivityEmbeddings(train, 8, &rng);
+  ClfdModel model(MicroConfig(), 13);
+  model.Train(train, emb);
+  ExpectFiniteScores(model.Score(test), 11);
+}
+
+TEST(RobustnessTest, TestVocabularyBeyondEmbeddingsIsTypedError) {
+  // The embeddings are trained on the training set only, so a test set
+  // with a larger vocabulary can name an activity with no embedding row:
+  // a typed error (clfd_cli reports it and exits 1), never a read past
+  // the table.
+  Rng rng(7);
+  SessionDataset train = MakeTinyDataset(20, 4, 4, 2, 5, &rng);
+  SessionDataset test = MakeTinyDataset(6, 2, 7, 2, 5, &rng);
+  test.sessions[3].session.activities[0] = 6;
+  Matrix emb = TrainActivityEmbeddings(train, 8, &rng);
+  ClfdModel model(MicroConfig(), 15);
+  model.Train(train, emb);
+  EXPECT_THROW(model.Score(test), std::out_of_range);
 }
 
 TEST(RobustnessTest, ExtremeNoiseRatesClampBehaviour) {

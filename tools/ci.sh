@@ -64,9 +64,9 @@ for preset in "${presets[@]}"; do
   # Kernel-backend dimension: the equivalence suite sweeps both backends
   # internally, but the ambient default (CLFD_KERNEL_BACKEND) decides which
   # bodies the rest of the pipeline executes — the ctest run above covers
-  # the default (simd), so rerun the scalar-oracle suite and the end-to-end
-  # invariance test with the one non-default value, scalar, as the process
-  # default. Under asan/ubsan/tsan this is what puts the oracle bodies in
+  # the default (simd), so rerun the scalar-oracle suite, the end-to-end
+  # invariance test and the encoder's value-path-equals-tape test with the
+  # one non-default value, scalar, as the process default. Under asan/ubsan/tsan this is what puts the oracle bodies in
   # front of the sanitizers on every path.
   build_dir="build"
   [[ "${preset}" != "default" ]] && build_dir="build-${preset}"
@@ -74,6 +74,8 @@ for preset in "${presets[@]}"; do
   CLFD_KERNEL_BACKEND=scalar "./${build_dir}/tests/kernel_backend_test"
   CLFD_KERNEL_BACKEND=scalar "./${build_dir}/tests/eval_test" \
       --gtest_filter='BackendInvarianceTest.*'
+  CLFD_KERNEL_BACKEND=scalar "./${build_dir}/tests/encoders_test" \
+      --gtest_filter='SessionEncoderTest.EncodeDatasetMatchesTapeBitwise'
   # Execution-plan dimension: the ctest run already covers the ambient
   # default (plans on), so rerun the plan suite and the full-pipeline
   # invariance test with each CLFD_PLAN value pinned. Under asan/ubsan/
@@ -108,6 +110,7 @@ for preset in "${presets[@]}"; do
     echo "==== [default] substrate micro-bench (smoke)"
     ./build/bench/bench_micro_substrate \
         --benchmark_min_time=0.05 \
+        --benchmark_repetitions=3 \
         --benchmark_out=build/BENCH_current.json \
         --benchmark_out_format=json
     echo "==== [default] perf_diff gate vs committed BENCH_substrate.json"

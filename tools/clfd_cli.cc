@@ -44,7 +44,9 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "baselines/registry.h"
 #include "common/check.h"
@@ -296,8 +298,18 @@ int Run(const Args& args) {
   }
 
   std::vector<int> truths = TrueLabels(test);
-  auto scores = model->Score(test);
-  ConfusionCounts counts = Confusion(model->Predict(test), truths);
+  std::vector<double> scores;
+  std::vector<int> predictions;
+  try {
+    scores = model->Score(test);
+    predictions = model->Predict(test);
+  } catch (const std::out_of_range& e) {
+    // The embeddings are trained on --train only, so a --test file with a
+    // larger vocabulary can name activities the model has no row for.
+    std::fprintf(stderr, "cannot score --test dataset: %s\n", e.what());
+    return 1;
+  }
+  ConfusionCounts counts = Confusion(predictions, truths);
   std::printf("%s: F1 %.2f  FPR %.2f  AUC-ROC %.2f  (tp=%d fp=%d tn=%d "
               "fn=%d)\n",
               model_name.c_str(), F1Score(counts),

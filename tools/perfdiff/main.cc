@@ -68,7 +68,8 @@ bool LoadMetrics(const std::string& path,
   }
   clfd::json::Value doc;
   std::string error;
-  if (!clfd::json::Parse(text, &doc, &error)) {
+  if (!clfd::json::Parse(clfd::perfdiff::NullNonFiniteTokens(text), &doc,
+                         &error)) {
     std::cerr << "perf_diff: " << path << ": " << error << "\n";
     return false;
   }

@@ -102,6 +102,38 @@ std::map<std::string, Metric> IndexByKey(const std::vector<Metric>& metrics) {
 
 }  // namespace
 
+std::string NullNonFiniteTokens(const std::string& text) {
+  static const char* const kTokens[] = {"-Infinity", "Infinity", "NaN"};
+  std::string out;
+  out.reserve(text.size());
+  bool in_string = false;
+  for (size_t i = 0; i < text.size(); ++i) {
+    const char c = text[i];
+    if (in_string) {
+      out += c;
+      if (c == '\\' && i + 1 < text.size()) {
+        out += text[++i];
+      } else if (c == '"') {
+        in_string = false;
+      }
+      continue;
+    }
+    if (c == '"') in_string = true;
+    bool replaced = false;
+    for (const char* token : kTokens) {
+      const std::string t(token);
+      if (text.compare(i, t.size(), t) == 0) {
+        out += "null";
+        i += t.size() - 1;
+        replaced = true;
+        break;
+      }
+    }
+    if (!replaced) out += c;
+  }
+  return out;
+}
+
 std::vector<Metric> ExtractMetrics(const json::Value& doc) {
   std::vector<Metric> out;
   if (doc.Find("benchmarks") != nullptr) {

@@ -56,6 +56,13 @@ struct DiffResult {
   int regressions = 0;
 };
 
+// google-benchmark writes a non-finite double as a bare NaN, Infinity or
+// -Infinity token, which is not JSON: with --benchmark_repetitions the
+// `cv` aggregate of a counter whose mean is 0 comes out as NaN. Returns
+// `text` with every such token outside a string replaced by null, so the
+// artifact parses; the metrics are read from iteration rows only.
+std::string NullNonFiniteTokens(const std::string& text);
+
 // Pulls the comparable metrics out of a parsed artifact. Aggregate
 // benchmark entries (BigO/RMS rows) are ignored; times are normalized to
 // nanoseconds.
